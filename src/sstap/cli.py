@@ -58,7 +58,7 @@ class RunConfig:
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {list(MODES)}, got {mode!r}")
         seed = raw.get("seed", 0)
-        if not isinstance(seed, int):
+        if not _is_integer(seed):
             raise ConfigError("seed must be an integer")
         schema = raw.get("schema_version", SCHEMA_VERSION)
         if schema != SCHEMA_VERSION:
@@ -72,6 +72,25 @@ class RunConfig:
         self.raw.setdefault("force_non_order_preserving", self.force)
 
 
+def _is_integer(value: Any) -> bool:
+    # bool is an int subclass, but a JSON true is not a count or a seed
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(value: Any, field: str) -> float:
+    """A config value read as a float; booleans and non-numbers are config errors."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{field} must be a number, not a boolean")
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{field} must be a number, got {value!r}") from None
+
+
 def _require(raw: dict[str, Any], key: str) -> Any:
     if key not in raw:
         raise ConfigError(f"missing required field {key!r}")
@@ -82,7 +101,7 @@ def _parse_interval(value: Any, field: str) -> Interval:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(v, (int, float)) for v in value)
+        or not all(_is_number(v) for v in value)
     ):
         raise ConfigError(f"{field} must be a [lo, hi] pair")
     try:
@@ -107,7 +126,10 @@ def _parse_function(value: Any, field: str = "function") -> ThresholdFunction:
                 isinstance(r, (list, tuple)) and len(r) == 3 for r in rows
             ):
                 raise ConfigError(f"{field}.table must be a list of [x, p, value] rows")
-            table = {(float(x), float(p)): float(v) for x, p, v in rows}
+            table = {
+                (_number(x, f"{field}.table"), _number(p, f"{field}.table")): _number(v, f"{field}.table")
+                for x, p, v in rows
+            }
             domain = value.get("domain")
             return ThresholdFunction.tabulated(
                 table, _parse_interval(domain, f"{field}.domain") if domain else None
@@ -123,7 +145,7 @@ def _parse_workers(value: Any, field: str = "workers") -> tuple[Worker, ...]:
     try:
         if isinstance(value, dict):
             count = _require(value, "count")
-            if not isinstance(count, int) or count < 1:
+            if not _is_integer(count) or count < 1:
                 raise ConfigError(f"{field}.count must be a positive integer")
             scheme = value.get("scheme", "linear")
             if scheme != "linear":
@@ -134,12 +156,15 @@ def _parse_workers(value: Any, field: str = "workers") -> tuple[Worker, ...]:
             for entry in value:
                 if not isinstance(entry, dict):
                     raise ConfigError(f"{field} entries must be objects")
+                worker_id = _require(entry, "id")
+                if not _is_integer(worker_id):
+                    raise ConfigError(f"{field} ids must be integers")
                 cycle = entry.get("cycle_rate")
                 workers.append(
                     Worker(
-                        id=int(_require(entry, "id")),
-                        rate=float(_require(entry, "rate")),
-                        cycle_rate=math.inf if cycle is None else float(cycle),
+                        id=worker_id,
+                        rate=_number(_require(entry, "rate"), f"{field} rate"),
+                        cycle_rate=math.inf if cycle is None else _number(cycle, f"{field} cycle_rate"),
                     )
                 )
             return tuple(workers)
@@ -154,20 +179,26 @@ def _parse_jobs(value: Any, seed: int, field: str = "jobs") -> list[tuple[float,
     if not isinstance(value, dict):
         raise ConfigError(f"{field} must be an object")
     if "values" in value:
+        entries = value["values"]
+        if not isinstance(entries, list) or not entries:
+            raise ConfigError(f"{field}.values must be a nonempty list")
         jobs: list[tuple[float, float]] = []
-        for entry in value["values"]:
-            if isinstance(entry, (int, float)):
+        for entry in entries:
+            if _is_number(entry):
                 jobs.append((float(entry), 0.0))
             elif isinstance(entry, (list, tuple)) and len(entry) == 2:
-                jobs.append((float(entry[0]), float(entry[1])))
+                jobs.append((_number(entry[0], f"{field}.values"), _number(entry[1], f"{field}.values")))
             else:
                 raise ConfigError(f"{field}.values entries must be numbers or [value, time] pairs")
-        if not jobs:
-            raise ConfigError(f"{field}.values must be nonempty")
+        previous = 0.0
+        for _value, arrival_time in jobs:
+            if not arrival_time >= previous:
+                raise ConfigError(f"{field}.values arrival times must be nonnegative and nondecreasing")
+            previous = arrival_time
         return jobs
     if "distribution" in value:
         count = value.get("count")
-        if not isinstance(count, int) or count < 1:
+        if not _is_integer(count) or count < 1:
             raise ConfigError(f"{field}.count must be a positive integer")
         spec = _parse_distribution(value["distribution"], f"{field}.distribution")
         rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
@@ -181,19 +212,21 @@ def _parse_distribution(value: Any, field: str) -> dsstap.DistributionSpec:
     kind = value.get("kind")
     try:
         if kind == "uniform":
-            return dsstap.DistributionSpec.uniform(float(_require(value, "a")), float(_require(value, "b")))
+            return dsstap.DistributionSpec.uniform(
+                _number(_require(value, "a"), f"{field}.a"), _number(_require(value, "b"), f"{field}.b")
+            )
         if kind == "point-mass":
-            return dsstap.DistributionSpec.point_mass(float(_require(value, "c")))
+            return dsstap.DistributionSpec.point_mass(_number(_require(value, "c"), f"{field}.c"))
         if kind == "empirical":
             samples = _require(value, "samples")
             if not isinstance(samples, list):
                 raise ConfigError(f"{field}.samples must be a list")
-            return dsstap.DistributionSpec.empirical([float(s) for s in samples])
+            return dsstap.DistributionSpec.empirical([_number(s, f"{field}.samples") for s in samples])
         if kind == "gaussian-mixture":
             omega = _parse_interval(_require(value, "omega"), f"{field}.omega")
-            centers = [float(c) for c in _require(value, "centers")]
-            weights = [float(w) for w in _require(value, "weights")]
-            sigma = float(_require(value, "sigma"))
+            centers = [_number(c, f"{field}.centers") for c in _require(value, "centers")]
+            weights = [_number(w, f"{field}.weights") for w in _require(value, "weights")]
+            sigma = _number(_require(value, "sigma"), f"{field}.sigma")
             normalizer = analysis._mixture_mass(centers, weights, sigma, omega)
             spec = analysis.MixtureSpec(
                 centers=tuple(centers),
@@ -212,7 +245,7 @@ def _parse_distribution(value: Any, field: str) -> dsstap.DistributionSpec:
 
 def _parse_alpha(raw: dict[str, Any]) -> float:
     alpha = _require(raw, "alpha")
-    if not isinstance(alpha, (int, float)) or not math.isfinite(alpha):
+    if not _is_number(alpha) or not math.isfinite(alpha):
         raise ConfigError("alpha must be a finite number")
     return float(alpha)
 
@@ -297,7 +330,7 @@ def _run_check_order(config: RunConfig) -> tuple[dict[str, Any], dict[str, str]]
     workers = _parse_workers(_require(raw, "workers"))
     rates = sorted({w.rate for w in workers})
     if "probes" in raw:
-        probes = [float(x) for x in raw["probes"]]
+        probes = [_number(x, "probes") for x in raw["probes"]]
     else:
         observed = []
         if "jobs" in raw:
@@ -346,12 +379,15 @@ def _run_multilevel(config: RunConfig) -> tuple[dict[str, Any], dict[str, str]]:
                 LevelSpec(
                     index=position,
                     workers=_parse_workers(_require(entry, "workers"), f"levels[{position}].workers"),
-                    alpha=float(_require(entry, "alpha")),
+                    alpha=_number(_require(entry, "alpha"), f"levels[{position}].alpha"),
                     f=_parse_function(_require(entry, "function"), f"levels[{position}].function"),
                 )
             )
         except ValueError as exc:
             raise ConfigError(f"levels[{position}]: {exc}") from exc
+    ids = [worker.id for level in levels for worker in level.workers]
+    if len(set(ids)) != len(ids):
+        raise ConfigError("worker ids must be unique across levels")
     jobs = _parse_jobs(_require(raw, "jobs"), config.seed)
     if raw.get("compare_flat", False):
         comparison = multilevel.compare_flat(
@@ -381,7 +417,7 @@ def _run_dsstap(config: RunConfig) -> tuple[dict[str, Any], dict[str, str]]:
     f = _parse_function(_require(raw, "function"))
     alpha = _parse_alpha(raw)
     samples = raw.get("samples", dsstap.DEFAULT_MC_SAMPLES)
-    if not isinstance(samples, int) or samples < dsstap.MIN_MC_SAMPLES:
+    if not _is_integer(samples) or samples < dsstap.MIN_MC_SAMPLES:
         raise ConfigError(f"samples must be an integer >= {dsstap.MIN_MC_SAMPLES}")
     rate_specs = [
         _parse_distribution(entry, f"rate_specs[{i}]")
@@ -434,7 +470,10 @@ def run_figure1(
         raise ConfigError("figure1.n must be positive")
     if trials < 1:
         raise ConfigError("figure1.trials must be positive")
-    f = ThresholdFunction.ratio(domain)
+    try:
+        f = ThresholdFunction.ratio(domain)
+    except ValueError as exc:
+        raise ConfigError(f"figure1.domain: {exc}") from exc
     rates = [i / n for i in range(1, n + 1)]
     counts = np.zeros((len(alphas), trials))
     for trial in range(trials):
@@ -463,19 +502,19 @@ def _run_figure1(config: RunConfig) -> tuple[dict[str, Any], dict[str, str]]:
     raw.update(config.raw.get("figure1", {}))
     n = raw["n"]
     trials = raw["trials"]
-    if not isinstance(n, int) or not isinstance(trials, int):
+    if not _is_integer(n) or not _is_integer(trials):
         raise ConfigError("figure1.n and figure1.trials must be integers")
     alphas_cfg = raw["alphas"]
     if isinstance(alphas_cfg, dict):
-        start = float(alphas_cfg.get("start", 0.1))
-        stop = float(alphas_cfg.get("stop", 5.0))
-        step = float(alphas_cfg.get("step", 0.1))
+        start = _number(alphas_cfg.get("start", 0.1), "figure1.alphas.start")
+        stop = _number(alphas_cfg.get("stop", 5.0), "figure1.alphas.stop")
+        step = _number(alphas_cfg.get("step", 0.1), "figure1.alphas.step")
         if step <= 0 or stop < start:
             raise ConfigError("figure1.alphas must have positive step and stop >= start")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         alphas = [start + k * step for k in range(count)]
     elif isinstance(alphas_cfg, list) and alphas_cfg:
-        alphas = [float(a) for a in alphas_cfg]
+        alphas = [_number(a, "figure1.alphas") for a in alphas_cfg]
     else:
         raise ConfigError("figure1.alphas must be a list or a start/stop/step object")
     domain = _parse_interval(raw["domain"], "figure1.domain")

@@ -176,8 +176,9 @@ def eval_f(f: ThresholdFunction, x: float, p: float) -> float:
     Raises DomainError when x falls outside the domain (or a ratio is
     evaluated at x <= 0) and MissingEntry for an absent tabulated pair.
     """
-    if not f.domain.contains(x):
-        raise DomainError(f"job value {x} outside domain [{f.domain.lo}, {f.domain.hi}]")
+    domain = f.domain
+    if not domain.lo <= x <= domain.hi:
+        raise DomainError(f"job value {x} outside domain [{domain.lo}, {domain.hi}]")
     if f.kind is FunctionKind.PRODUCT:
         return x * p
     if f.kind is FunctionKind.RATIO:

@@ -128,19 +128,36 @@ def offline_optimum_exhaustive(
 def offline_optimum_matching(graph: FeasibilityGraph) -> int:
     """Maximum number of jobs servable at all, via augmenting paths.
 
-    Repeatedly searches for an augmenting path from each unmatched job
-    (Kuhn's algorithm, O(V * E)).
+    Searches for an augmenting path from each job in turn (Kuhn's
+    algorithm, O(V * E)). The depth-first search keeps its own stack, so
+    a path as long as the graph is wide cannot exhaust the interpreter's
+    recursion limit.
     """
     adjacency = graph.adjacency()
     matched_job: list[int] = [-1] * graph.n_workers
 
-    def try_augment(i: int, visited: list[bool]) -> bool:
-        for j in adjacency[i]:
-            if not visited[j]:
-                visited[j] = True
-                if matched_job[j] == -1 or try_augment(matched_job[j], visited):
-                    matched_job[j] = i
-                    return True
+    def try_augment(root: int, visited: list[bool]) -> bool:
+        # jobs[d] is the job at depth d and edges[d] the rest of its edge
+        # list; workers[d] is the worker through which jobs[d + 1] was reached.
+        jobs, edges, workers = [root], [iter(adjacency[root])], []
+        while edges:
+            for j in edges[-1]:
+                if not visited[j]:
+                    break
+            else:
+                jobs.pop()
+                edges.pop()
+                if workers:
+                    workers.pop()
+                continue
+            visited[j] = True
+            workers.append(j)
+            if matched_job[j] == -1:
+                for job, worker in zip(jobs, workers):
+                    matched_job[worker] = job
+                return True
+            jobs.append(matched_job[j])
+            edges.append(iter(adjacency[matched_job[j]]))
         return False
 
     size = 0

@@ -6,6 +6,17 @@ that minimizes f(x, p) among those clearing the threshold, which is
 optimal whenever f is order-preserving: weaker feasible workers are spent
 first, keeping stronger ones for jobs that will need them.
 
+Every decision goes through one index that ``WorkerPool`` keeps: the free
+workers in a list sorted by (rate, id), and the busy cycling workers in a
+heap ordered by return time. Product and ratio functions rise with the
+rate, so their greedy choice is the first free worker whose rate clears
+the threshold. A bisection seeded with the inverted threshold finds it,
+and a short walk settles the rounding at the boundary with f itself:
+O(log m) comparisons and a few evaluations of f per decision. The bulk
+counter ``greedy_threshold_count`` runs the same search over a plain
+sorted rate list. Tabulated functions say nothing through the rate order,
+so they scan every free worker.
+
 Product and ratio functions are order-preserving by construction on their
 validated domains (both are monotone in the rate for fixed x), so the
 policy trusts them without probing. Tabulated functions are checked once
@@ -16,7 +27,9 @@ caller explicitly forces a heuristic run.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from heapq import heapify, heappop, heappush
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -47,14 +60,28 @@ __all__ = [
 CYCLE_DELAY_MODES = ("deterministic", "exponential")
 
 
+_worker_id = attrgetter("id")
+
+
 class WorkerPool:
-    """Mutable roster of workers owned by a single policy run."""
+    """Mutable roster of workers owned by a single policy run.
+
+    The pool also indexes its workers for the greedy rule: the free ones in
+    a list sorted by (rate, id), with their rates in a parallel list for
+    bisection, and the busy ones in a heap of (return_time, id, worker).
+    Workers change state only through ``assign`` and ``release_returning``;
+    the index does not see a worker whose state is changed from outside.
+    """
 
     def __init__(self, workers: Iterable[Worker]):
         self._workers = [w.copy() for w in workers]
         self._by_id = {w.id: w for w in self._workers}
         if len(self._by_id) != len(self._workers):
             raise ValueError("worker ids must be unique")
+        self._free = sorted((w for w in self._workers if w.available), key=lambda w: (w.rate, w.id))
+        self._free_rates = [w.rate for w in self._free]
+        self._returns = [(w.return_time, w.id, w) for w in self._workers if w.state is WorkerState.BUSY]
+        heapify(self._returns)
 
     @property
     def workers(self) -> tuple[Worker, ...]:
@@ -64,7 +91,8 @@ class WorkerPool:
         return self._by_id[worker_id]
 
     def available(self) -> list[Worker]:
-        return [w for w in self._workers if w.state is WorkerState.AVAILABLE]
+        """Free workers in (rate, id) order."""
+        return list(self._free)
 
     def busy(self) -> list[Worker]:
         return [w for w in self._workers if w.state is WorkerState.BUSY]
@@ -72,14 +100,54 @@ class WorkerPool:
     def consumed(self) -> list[Worker]:
         return [w for w in self._workers if w.state is WorkerState.CONSUMED]
 
+    def choose(self, f: ThresholdFunction, alpha: float, x: float) -> tuple[Worker, float] | None:
+        """Greedy choice for job x with its f value, None when no free worker clears alpha.
+
+        The choice minimizes (f value, rate, id) over the free workers
+        clearing the threshold. For product and ratio kinds that is the
+        first such worker in the free list.
+        """
+        if f.kind is FunctionKind.TABULATED:
+            best = None
+            for worker in self._free:
+                value = eval_f(f, x, worker.rate)
+                # ids are unique, so the worker itself is never compared
+                if value >= alpha and (best is None or (value, worker.rate, worker.id, worker) < best):
+                    best = (value, worker.rate, worker.id, worker)
+            return None if best is None else (best[3], best[0])
+        j = _first_feasible(f, alpha, x, self._free_rates)
+        if j == len(self._free):
+            return None
+        worker = self._free[j]
+        return worker, eval_f(f, x, worker.rate)
+
+    def assign(self, worker_id: int, busy_until: float | None) -> None:
+        """Take a free worker: busy until the given time, or consumed for None."""
+        worker = self._by_id[worker_id]
+        worker.mark_assigned(busy_until)
+        i = self._position(worker)
+        del self._free[i]
+        del self._free_rates[i]
+        if busy_until is not None:
+            heappush(self._returns, (busy_until, worker.id, worker))
+
     def release_returning(self, now: float) -> list[int]:
         """Return cycled-back workers (return time <= now) to availability."""
         released = []
-        for w in self._workers:
-            if w.state is WorkerState.BUSY and w.return_time is not None and w.return_time <= now:
-                w.release()
-                released.append(w.id)
+        while self._returns and self._returns[0][0] <= now:
+            _time, worker_id, worker = heappop(self._returns)
+            worker.release()
+            i = self._position(worker)
+            self._free.insert(i, worker)
+            self._free_rates.insert(i, worker.rate)
+            released.append(worker_id)
         return sorted(released)
+
+    def _position(self, worker: Worker) -> int:
+        """Index of the worker's (rate, id) slot in the free list."""
+        lo = bisect_left(self._free_rates, worker.rate)
+        hi = bisect_right(self._free_rates, worker.rate, lo)
+        return bisect_left(self._free, worker.id, lo, hi, key=_worker_id)
 
 
 def verify_order_preserving(instance: Instance) -> OrderCheck:
@@ -144,7 +212,7 @@ class PolicyState:
 
 def release_returning_workers(state: PolicyState, now: float) -> list[int]:
     """Release every busy worker whose return time has passed, ids ascending."""
-    if now < state.clock:
+    if not now >= state.clock:
         raise ValueError("time must not run backwards")
     return state.pool.release_returning(now)
 
@@ -163,7 +231,7 @@ def assign_next(
     rejected. Raises OrderViolation for a non-order-preserving function
     unless the state was built with the force flag.
     """
-    if arrival_time < state.clock:
+    if not arrival_time >= state.clock:
         raise ValueError("job arrivals must be offered in nondecreasing time order")
     check = state.order_check()
     if not check.preserving:
@@ -177,30 +245,20 @@ def assign_next(
     state.clock = arrival_time
 
     instance = state.instance
-    best_key: tuple[float, float, int] | None = None
-    best_worker: Worker | None = None
-    for worker in state.pool.available():
-        value = eval_f(instance.f, x, worker.rate)
-        if value >= instance.alpha:
-            key = (value, worker.rate, worker.id)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_worker = worker
-
+    choice = state.pool.choose(instance.f, instance.alpha, x)
     if job_id is None:
         job_id = len(state.log) + 1
-    if best_worker is None:
+    if choice is None:
         record = AssignmentRecord(job_id=job_id, threshold=instance.alpha)
     else:
-        if math.isinf(best_worker.cycle_rate):
-            best_worker.mark_assigned(None)
-        else:
-            best_worker.mark_assigned(arrival_time + state._cycle_delay(best_worker))
+        worker, value = choice
+        busy_until = None if math.isinf(worker.cycle_rate) else arrival_time + state._cycle_delay(worker)
+        state.pool.assign(worker.id, busy_until)
         record = AssignmentRecord(
             job_id=job_id,
             threshold=instance.alpha,
-            worker_id=best_worker.id,
-            f_value=best_key[0] if best_key else None,
+            worker_id=worker.id,
+            f_value=value,
         )
     state.log.append(record)
     return record
@@ -233,21 +291,30 @@ def run_stream(
     return list(state.log), state.reward()
 
 
-def _minimal_feasible_rate(kind: FunctionKind, alpha: float, x: float) -> float | None:
-    """Smallest rate clearing the threshold for job x, None when no rate can.
+def _first_feasible(f: ThresholdFunction, alpha: float, x: float, rates: Sequence[float]) -> int:
+    """Index of the first of the ascending ``rates`` with f(x, rate) >= alpha.
 
-    Only valid for kinds increasing in the rate argument; the feasible set
-    is then the half-line of rates at or above the returned value.
+    Returns len(rates) when none clears the threshold. f must be of the
+    product or ratio kind, which rise with the rate, so the feasible rates
+    form a suffix. The bisection is seeded with the threshold inverted in
+    exact arithmetic; rounding can put the boundary a few ulps to either
+    side, so the two walks then move the index one distinct rate at a time
+    until f itself confirms it. A nonempty list always gets at least one
+    evaluation of f, so a job outside the domain raises DomainError.
     """
     if alpha <= 0.0:
-        return 0.0
-    if kind is FunctionKind.PRODUCT:
-        if x <= 0.0:
-            return None
-        return alpha / x
-    if kind is FunctionKind.RATIO:
-        return alpha * x
-    raise ValueError("tabulated functions have no rate-threshold structure")
+        seed = 0.0
+    elif f.kind is FunctionKind.RATIO:
+        seed = alpha * x
+    else:
+        seed = alpha / x if x > 0.0 else math.inf
+    m = len(rates)
+    j = bisect_left(rates, seed)
+    while j < m and not eval_f(f, x, rates[j]) >= alpha:
+        j = bisect_right(rates, rates[j], j)
+    while j > 0 and eval_f(f, x, rates[j - 1]) >= alpha:
+        j = bisect_left(rates, rates[j - 1], 0, j - 1)
+    return j
 
 
 def greedy_threshold_count(
@@ -259,32 +326,18 @@ def greedy_threshold_count(
     """Reward of the greedy policy over single-use workers, computed in bulk.
 
     Equivalent to ``run_stream`` with all arrivals at time zero and
-    lambda = inf: for product and ratio kinds the greedy choice is the
-    smallest available rate clearing the threshold, which a successor
-    structure over the sorted rates finds in near-constant time per job.
-    Used by threshold sweeps where per-worker scans would dominate.
+    lambda = inf, including the DomainError for a job outside the domain
+    while a worker is free: each job takes the worker that the policy's
+    own successor search finds, here over a plain sorted rate list. Used
+    by threshold sweeps, which need only the count and not the records.
     """
     if f.kind is FunctionKind.TABULATED:
         raise ValueError("bulk greedy requires a product or ratio function")
-    sorted_rates = sorted(rates)
-    m = len(sorted_rates)
-    parent = list(range(m + 1))
-
-    def find(j: int) -> int:
-        while parent[j] != j:
-            parent[j] = parent[parent[j]]
-            j = parent[j]
-        return j
-
+    free = sorted(rates)
     count = 0
-    for x in job_values:
-        minimum = _minimal_feasible_rate(f.kind, alpha, x)
-        if minimum is None:
-            continue
-        j = find(bisect_left(sorted_rates, minimum))
-        while j < m and not eval_f(f, x, sorted_rates[j]) >= alpha:
-            j = find(j + 1)
-        if j < m:
-            parent[j] = j + 1
+    for x in np.asarray(job_values, dtype=float).tolist():
+        j = _first_feasible(f, alpha, x, free)
+        if j < len(free):
+            del free[j]
             count += 1
     return count

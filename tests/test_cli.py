@@ -426,6 +426,42 @@ class TestFigure1Mode:
         assert lines[1].startswith("1.0,")
 
 
+def _shared_id_levels():
+    levels = [dict(level) for level in TestMultilevelMode.PAYLOAD["levels"]]
+    levels[1]["workers"] = [{"id": 1, "rate": 0.5}]
+    return {**TestMultilevelMode.PAYLOAD, "levels": levels}
+
+
+class TestExitCodeContract:
+    """Malformed configs exit 2 with one line on stderr, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {**GOLDEN_SIMULATE, "jobs": {"values": [[0.9, 1.0], [0.9, 0.5]]}},
+            {**TestMultilevelMode.PAYLOAD, "jobs": {"values": [[0.85, 2.0], [0.5, 1.0]]}},
+            _shared_id_levels(),
+            {"mode": "figure1", "figure1": {"n": 5, "alphas": [1.0], "trials": 2, "domain": [0.0, 1.0]}},
+            {**GOLDEN_SIMULATE, "alpha": True},
+            {**GOLDEN_SIMULATE, "seed": True},
+            {**GOLDEN_SIMULATE, "workers": {"count": True}},
+        ],
+        ids=[
+            "simulate-time-backwards",
+            "multilevel-time-backwards",
+            "worker-id-shared-by-levels",
+            "figure1-domain-at-zero",
+            "alpha-true",
+            "seed-true",
+            "worker-count-true",
+        ],
+    )
+    def test_exits_2_with_one_line(self, tmp_path, capsys, payload):
+        assert run_cli(tmp_path, payload) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "payload",

@@ -154,3 +154,11 @@ class TestMatching:
     def test_disconnected_graph(self):
         graph = FeasibilityGraph(n_jobs=3, n_workers=2, edges=frozenset())
         assert offline_optimum_matching(graph) == 0
+
+    def test_augmenting_path_longer_than_recursion_limit(self):
+        # jobs 0..n-2 take workers 0..n-2 first; the last job's only edge,
+        # worker 0, then needs an augmenting path through all of them
+        n = 3000
+        edges = {(i, i) for i in range(n - 1)} | {(i, i + 1) for i in range(n - 1)} | {(n - 1, 0)}
+        graph = FeasibilityGraph(n_jobs=n, n_workers=n, edges=frozenset(edges))
+        assert offline_optimum_matching(graph) == n

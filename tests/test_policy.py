@@ -10,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sstap import (
+    AssignmentRecord,
+    DomainError,
+    FunctionKind,
     Instance,
     Interval,
     OrderViolation,
@@ -19,6 +22,7 @@ from sstap import (
     WorkerPool,
     WorkerState,
     assign_next,
+    eval_f,
     greedy_threshold_count,
     release_returning_workers,
     run_stream,
@@ -34,11 +38,14 @@ def stream(values):
 class TestWorkerPool:
     def test_views_partition_the_pool(self):
         pool = WorkerPool(make_workers([0.4, 0.5, 0.6], cycle_rate=2.0))
-        pool.get(1).mark_assigned(0.5)
-        pool.get(2).mark_assigned(None)
+        pool.assign(1, 0.5)
+        pool.assign(2, None)
         assert [w.id for w in pool.available()] == [3]
         assert [w.id for w in pool.busy()] == [1]
         assert [w.id for w in pool.consumed()] == [2]
+        with pytest.raises(ValueError):
+            pool.assign(2, 1.0)
+        assert [w.id for w in pool.available()] == [3]
 
     def test_pool_copies_input_workers(self):
         workers = make_workers([0.4])
@@ -52,10 +59,15 @@ class TestWorkerPool:
 
     def test_release_returning_is_sorted_by_id(self):
         pool = WorkerPool(make_workers([0.4, 0.5, 0.6], cycle_rate=1.0))
-        for wid in (3, 1, 2):
-            pool.get(wid).mark_assigned(1.0)
+        for wid, busy_until in ((3, 0.5), (1, 1.0), (2, 0.75)):
+            pool.assign(wid, busy_until)
         released = pool.release_returning(1.0)
         assert released == [1, 2, 3]
+        assert [w.id for w in pool.available()] == [1, 2, 3]
+
+    def test_available_lists_rate_then_id_order(self):
+        workers = (Worker(id=4, rate=0.6), Worker(id=9, rate=0.2), Worker(id=1, rate=0.6))
+        assert [w.id for w in WorkerPool(workers).available()] == [9, 1, 4]
 
 
 class TestGreedySelection:
@@ -226,6 +238,23 @@ class TestBulkGreedy:
                 tabulated_instance.f, 0.1, [0.25], [1.0]
             )
 
+    def test_counts_a_rate_one_ulp_below_the_inverted_threshold(self):
+        f = ThresholdFunction.product(Interval(0.0, 1.0))
+        x = 0.449438202247191
+        assert 0.2225 * x >= 0.1 and 0.2225 < 0.1 / x
+        inst = Instance(alpha=0.1, f=f, workers=make_workers([0.2225]))
+        assert run_stream(inst, stream([x]))[1] == 1
+        assert greedy_threshold_count(f, 0.1, [0.2225], [x]) == 1
+
+    @pytest.mark.parametrize("x", [-0.5, 1.5])
+    def test_job_outside_domain_raises_while_a_worker_is_free(self, x):
+        f = ThresholdFunction.product(Interval(0.0, 1.0))
+        with pytest.raises(DomainError):
+            run_stream(Instance(alpha=0.1, f=f, workers=make_workers([0.5])), stream([x]))
+        with pytest.raises(DomainError):
+            greedy_threshold_count(f, 0.1, [0.5], [x])
+        assert greedy_threshold_count(f, 0.1, [0.5], [0.9, x]) == 1
+
     def test_handles_duplicate_and_unsorted_rates(self):
         f = ThresholdFunction.product(Interval(0.0, 1.0))
         assert greedy_threshold_count(f, 0.4, [0.9, 0.5, 0.9], [0.5, 0.5, 0.5]) == 2
@@ -278,3 +307,107 @@ def test_reward_counts_cycling_assignments(product_f):
     records, reward = run_stream(inst, [(0.9, 0.0), (0.9, 0.2), (0.9, 0.4)])
     assert reward == 3
     assert math.isfinite(records[0].f_value)
+
+
+def reference_scan(instance, jobs, cycle_delay_mode):
+    """The per-worker scan the indexed engine replaced, kept as its reference.
+
+    Returns the decision log, the sorted ids released before each job, and
+    the exception type with the index of the job that raised it, if any.
+    """
+    workers = [w.copy() for w in instance.workers]
+    rng = np.random.default_rng(instance.rng_seed)
+    f, alpha = instance.f, instance.alpha
+    log, releases = [], []
+    for job_id, (x, now) in enumerate(jobs, start=1):
+        released = []
+        for w in workers:
+            if w.state is WorkerState.BUSY and w.return_time <= now:
+                w.release()
+                released.append(w.id)
+        releases.append(sorted(released))
+        best = None
+        try:
+            for w in workers:
+                if w.available:
+                    value = eval_f(f, x, w.rate)
+                    if value >= alpha and (best is None or (value, w.rate, w.id) < best[0]):
+                        best = ((value, w.rate, w.id), w)
+        except DomainError:
+            return log, releases, (DomainError, job_id)
+        if best is None:
+            log.append(AssignmentRecord(job_id=job_id, threshold=alpha))
+            continue
+        (value, _rate, _id), w = best
+        if math.isinf(w.cycle_rate):
+            w.mark_assigned(None)
+        elif cycle_delay_mode == "deterministic":
+            w.mark_assigned(now + 1.0 / w.cycle_rate)
+        else:
+            w.mark_assigned(now + float(rng.exponential(1.0 / w.cycle_rate)))
+        log.append(AssignmentRecord(job_id=job_id, threshold=alpha, worker_id=w.id, f_value=value))
+    return log, releases, None
+
+
+def engine_run(instance, jobs, cycle_delay_mode):
+    state = PolicyState(instance, cycle_delay_mode=cycle_delay_mode)
+    releases = []
+    for job_id, (x, now) in enumerate(jobs, start=1):
+        releases.append(release_returning_workers(state, now))
+        try:
+            assign_next(state, x, now)
+        except DomainError:
+            return state.log, releases, (DomainError, job_id)
+    return state.log, releases, None
+
+
+class TestEngineAgainstReferenceScan:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from([FunctionKind.PRODUCT, FunctionKind.RATIO]),
+        mode=st.sampled_from(["deterministic", "exponential"]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_same_decisions_rewards_and_releases(self, kind, mode, seed, data):
+        if kind is FunctionKind.PRODUCT:
+            f, lo = ThresholdFunction.product(Interval(0.0, 1.0)), 0.0
+        else:
+            f, lo = ThresholdFunction.ratio(Interval(0.01, 1.0)), 0.01
+        # a few shared rates make duplicates, and so ties broken by id
+        shared = data.draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4))
+        rates = data.draw(
+            st.lists(st.sampled_from(shared) | st.sampled_from(shared) | st.floats(0.01, 1.0), min_size=1, max_size=250)
+        )
+        ids = data.draw(st.permutations(range(1, len(rates) + 1)))
+        cycles = data.draw(
+            st.lists(
+                st.sampled_from([math.inf, 1.0, 3.0]) | st.floats(0.5, 20.0),
+                min_size=len(rates),
+                max_size=len(rates),
+            )
+        )
+        workers = tuple(Worker(id=i, rate=r, cycle_rate=c) for i, r, c in zip(ids, rates, cycles))
+        values = data.draw(st.lists(st.floats(lo, 1.0), min_size=1, max_size=60))
+        if data.draw(st.booleans()):
+            position = data.draw(st.integers(0, len(values)))
+            values.insert(position, data.draw(st.sampled_from([-0.5, 0.0, 1.5, math.nan])))
+        gaps = data.draw(
+            st.lists(st.sampled_from([0.0, 0.0, 0.05, 0.2, 1.0]), min_size=len(values), max_size=len(values))
+        )
+        jobs = list(zip(values, np.cumsum(gaps).tolist()))
+        # alphas read off f itself put the threshold exactly on a worker
+        x0 = min(max(values[0], lo), 1.0) if values[0] == values[0] else lo
+        alpha = data.draw(st.floats(-0.5, 2.0) | st.sampled_from([eval_f(f, x0, r) for r in shared]))
+        instance = Instance(alpha=alpha, f=f, workers=workers, rng_seed=seed)
+
+        expected = reference_scan(instance, jobs, mode)
+        assert engine_run(instance, jobs, mode) == expected
+        log, _releases, error = expected
+        if error is None:
+            records, reward = run_stream(instance, jobs, cycle_delay_mode=mode)
+            assert records == log
+            assert reward == sum(1 for r in log if r.assigned)
+        else:
+            with pytest.raises(error[0]):
+                run_stream(instance, jobs, cycle_delay_mode=mode)
