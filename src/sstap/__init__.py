@@ -4,7 +4,6 @@ from .analysis import (
     LoadBoundsResult,
     LoadBoundsVerdict,
     LoadReport,
-    MixtureSampler,
     MixtureSpec,
     Side,
     build_reward_maximizing_mixture,
@@ -18,7 +17,6 @@ from .core import (
     FunctionKind,
     Instance,
     Interval,
-    Job,
     Monotonicity,
     OrderCheck,
     OrderWitness,
@@ -26,9 +24,9 @@ from .core import (
     Worker,
     WorkerState,
     check_order_preserving,
-    compute_reward,
     default_probe_grid,
     eval_f,
+    eval_f_array,
 )
 from .dsstap import (
     Case1Estimate,
@@ -47,7 +45,6 @@ from .errors import (
     BadSpec,
     ConfigError,
     DomainError,
-    DuplicateWorker,
     IncomparableLevels,
     Infeasible,
     MissingEntry,

@@ -12,7 +12,7 @@ probability approaching one as the bandwidth shrinks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -31,7 +31,6 @@ __all__ = [
     "LoadReport",
     "LoadBoundsResult",
     "MixtureSpec",
-    "MixtureSampler",
     "job_load",
     "feasible_extremes",
     "load_report",
@@ -113,7 +112,7 @@ def feasible_extremes(
         if eval_f(f, omega.lo, p) >= alpha:
             v = omega.lo
         else:
-            v = alpha / p
+            v = f.job_boundary(alpha, p)
             _verify_inversion(f, alpha, p, omega, v)
         return u, v
     if f.monotonicity_in_x is Monotonicity.DECREASING:
@@ -123,7 +122,7 @@ def feasible_extremes(
         if eval_f(f, omega.hi, p) >= alpha:
             u = omega.hi
         else:
-            u = p / alpha
+            u = f.job_boundary(alpha, p)
             _verify_inversion(f, alpha, p, omega, u)
         return u, v
     raise NotMonotone("feasible extremes require a function monotone in x")
@@ -267,14 +266,15 @@ class MixtureSpec:
     Weights carry the multiplicity of merged duplicate centers and sum to
     one; the normalizer is the mass the untruncated weighted sum leaves
     inside the domain, so the truncated density is the weighted sum
-    divided by it.
+    divided by it. The normalizer is computed once the other fields have
+    been validated.
     """
 
     centers: tuple[float, ...]
     weights: tuple[float, ...]
     sigma: float
     omega: Interval
-    normalizer: float
+    normalizer: float = field(init=False)
 
     def __post_init__(self) -> None:
         if len(self.centers) != len(self.weights):
@@ -283,11 +283,14 @@ class MixtureSpec:
             raise ValueError("mixture requires at least one center")
         if not self.sigma > 0.0:
             raise ValueError("sigma must be positive")
+        if not all(math.isfinite(w) and w >= 0.0 for w in self.weights):
+            raise ValueError("weights must be finite and nonnegative")
         if abs(math.fsum(self.weights) - 1.0) > 1e-12:
             raise ValueError("weights must sum to one")
         for c in self.centers:
             if not self.omega.strictly_contains(c):
                 raise ValueError(f"center {c} is not strictly inside the domain")
+        object.__setattr__(self, "normalizer", _mixture_mass(self.centers, self.weights, self.sigma, self.omega))
         if not self.normalizer > 0.0:
             raise ValueError("normalizer must be positive")
 
@@ -295,9 +298,6 @@ class MixtureSpec:
         if not self.omega.contains(x):
             return 0.0
         return _gaussian_sum(self.centers, self.weights, self.sigma)(x) / self.normalizer
-
-    def sampler(self, seed: int) -> "MixtureSampler":
-        return MixtureSampler(self, seed)
 
     def draw_with(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw truncated samples using a caller-owned generator.
@@ -318,17 +318,6 @@ class MixtureSpec:
             out[redraw] = centers[idx[redraw]] + self.sigma * rng.standard_normal(int(redraw.sum()))
             inside = (out >= self.omega.lo) & (out <= self.omega.hi)
         return out
-
-
-class MixtureSampler:
-    """Mixture sampler owning its own RNG stream."""
-
-    def __init__(self, spec: MixtureSpec, seed: int):
-        self.spec = spec
-        self._rng = np.random.default_rng(seed)
-
-    def draw(self, size: int) -> np.ndarray:
-        return self.spec.draw_with(self._rng, size)
 
 
 def build_reward_maximizing_mixture(
@@ -369,11 +358,4 @@ def build_reward_maximizing_mixture(
             raise BadEpsilon(f"center {center} falls outside the open domain ({omega.lo}, {omega.hi})")
         centers.append(center)
         weights.append(len(group) / n)
-    normalizer = _mixture_mass(centers, weights, sigma, omega)
-    return MixtureSpec(
-        centers=tuple(centers),
-        weights=tuple(weights),
-        sigma=sigma,
-        omega=omega,
-        normalizer=normalizer,
-    )
+    return MixtureSpec(centers=tuple(centers), weights=tuple(weights), sigma=sigma, omega=omega)

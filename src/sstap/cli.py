@@ -46,6 +46,8 @@ FIGURE1_DEFAULTS = {
     "trials": 100,
     "domain": [1e-6, 1.0],
 }
+# Most thresholds one figure1 run may sweep: 200 times the default 50.
+FIGURE1_MAX_THRESHOLDS = 10_000
 
 
 class RunConfig:
@@ -89,6 +91,16 @@ def _number(value: Any, field: str) -> float:
         return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{field} must be a number, got {value!r}") from None
+
+
+def _list(value: Any, field: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{field} must be a list")
+    return value
+
+
+def _numbers(value: Any, field: str) -> list[float]:
+    return [_number(v, field) for v in _list(value, field)]
 
 
 def _require(raw: dict[str, Any], key: str) -> Any:
@@ -218,22 +230,14 @@ def _parse_distribution(value: Any, field: str) -> dsstap.DistributionSpec:
         if kind == "point-mass":
             return dsstap.DistributionSpec.point_mass(_number(_require(value, "c"), f"{field}.c"))
         if kind == "empirical":
-            samples = _require(value, "samples")
-            if not isinstance(samples, list):
-                raise ConfigError(f"{field}.samples must be a list")
-            return dsstap.DistributionSpec.empirical([_number(s, f"{field}.samples") for s in samples])
+            return dsstap.DistributionSpec.empirical(_numbers(_require(value, "samples"), f"{field}.samples"))
         if kind == "gaussian-mixture":
             omega = _parse_interval(_require(value, "omega"), f"{field}.omega")
-            centers = [_number(c, f"{field}.centers") for c in _require(value, "centers")]
-            weights = [_number(w, f"{field}.weights") for w in _require(value, "weights")]
-            sigma = _number(_require(value, "sigma"), f"{field}.sigma")
-            normalizer = analysis._mixture_mass(centers, weights, sigma, omega)
             spec = analysis.MixtureSpec(
-                centers=tuple(centers),
-                weights=tuple(weights),
-                sigma=sigma,
+                centers=tuple(_numbers(_require(value, "centers"), f"{field}.centers")),
+                weights=tuple(_numbers(_require(value, "weights"), f"{field}.weights")),
+                sigma=_number(_require(value, "sigma"), f"{field}.sigma"),
                 omega=omega,
-                normalizer=normalizer,
             )
             return dsstap.DistributionSpec.gaussian_mixture(spec)
     except ConfigError:
@@ -330,13 +334,16 @@ def _run_check_order(config: RunConfig) -> tuple[dict[str, Any], dict[str, str]]
     workers = _parse_workers(_require(raw, "workers"))
     rates = sorted({w.rate for w in workers})
     if "probes" in raw:
-        probes = [_number(x, "probes") for x in raw["probes"]]
+        probes = _numbers(raw["probes"], "probes")
     else:
         observed = []
         if "jobs" in raw:
             observed = [value for value, _t in _parse_jobs(raw["jobs"], config.seed)]
         probes = default_probe_grid(f, observed)
-    result = check_order_preserving(f, probes, rates)
+    try:
+        result = check_order_preserving(f, probes, rates)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     witness = None
     if result.witness is not None:
         witness = {
@@ -421,7 +428,7 @@ def _run_dsstap(config: RunConfig) -> tuple[dict[str, Any], dict[str, str]]:
         raise ConfigError(f"samples must be an integer >= {dsstap.MIN_MC_SAMPLES}")
     rate_specs = [
         _parse_distribution(entry, f"rate_specs[{i}]")
-        for i, entry in enumerate(_require(raw, "rate_specs"))
+        for i, entry in enumerate(_list(_require(raw, "rate_specs"), "rate_specs"))
     ]
     if case == "I":
         job_spec = _parse_distribution(_require(raw, "job_spec"), "job_spec")
@@ -432,7 +439,7 @@ def _run_dsstap(config: RunConfig) -> tuple[dict[str, Any], dict[str, str]]:
     if case == "II":
         job_specs = [
             _parse_distribution(entry, f"job_specs[{i}]")
-            for i, entry in enumerate(_require(raw, "job_specs"))
+            for i, entry in enumerate(_list(_require(raw, "job_specs"), "job_specs"))
         ]
         try:
             matrix = dsstap.estimate_prob_matrix(job_specs, rate_specs, f, alpha, mc=(samples, config.seed))
@@ -498,8 +505,10 @@ def _figure1_csv(rows: Sequence[dict[str, float]]) -> str:
 
 
 def _run_figure1(config: RunConfig) -> tuple[dict[str, Any], dict[str, str]]:
-    raw = dict(FIGURE1_DEFAULTS)
-    raw.update(config.raw.get("figure1", {}))
+    section = config.raw.get("figure1", {})
+    if not isinstance(section, dict):
+        raise ConfigError("figure1 must be an object")
+    raw = {**FIGURE1_DEFAULTS, **section}
     n = raw["n"]
     trials = raw["trials"]
     if not _is_integer(n) or not _is_integer(trials):
@@ -509,12 +518,19 @@ def _run_figure1(config: RunConfig) -> tuple[dict[str, Any], dict[str, str]]:
         start = _number(alphas_cfg.get("start", 0.1), "figure1.alphas.start")
         stop = _number(alphas_cfg.get("stop", 5.0), "figure1.alphas.stop")
         step = _number(alphas_cfg.get("step", 0.1), "figure1.alphas.step")
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ConfigError("figure1.alphas start, stop and step must be finite")
         if step <= 0 or stop < start:
             raise ConfigError("figure1.alphas must have positive step and stop >= start")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        steps = (stop - start) / step + 1e-9
+        if not steps < FIGURE1_MAX_THRESHOLDS:
+            raise ConfigError(f"figure1.alphas must give at most {FIGURE1_MAX_THRESHOLDS} thresholds")
+        count = int(math.floor(steps)) + 1
         alphas = [start + k * step for k in range(count)]
     elif isinstance(alphas_cfg, list) and alphas_cfg:
         alphas = [_number(a, "figure1.alphas") for a in alphas_cfg]
+        if not all(math.isfinite(a) for a in alphas):
+            raise ConfigError("figure1.alphas must be finite")
     else:
         raise ConfigError("figure1.alphas must be a list or a start/stop/step object")
     domain = _parse_interval(raw["domain"], "figure1.domain")

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DomainError, DuplicateWorker, MissingEntry
+import numpy as np
+
+from .errors import DomainError, MissingEntry
 
 __all__ = [
     "PROBE_GRID_POINTS",
@@ -29,15 +31,14 @@ __all__ = [
     "ThresholdFunction",
     "OrderWitness",
     "OrderCheck",
-    "Job",
     "WorkerState",
     "Worker",
     "Instance",
     "AssignmentRecord",
     "eval_f",
+    "eval_f_array",
     "default_probe_grid",
     "check_order_preserving",
-    "compute_reward",
 ]
 
 # Number of uniformly spaced probe points used when checking
@@ -160,36 +161,64 @@ class ThresholdFunction:
             raise ValueError("only tabulated functions enumerate job values")
         return sorted({x for (x, _p) in self.table})
 
-    def rate_values(self) -> list[float]:
-        """Distinct rates a tabulated function is defined on."""
-        if self.table is None:
-            raise ValueError("only tabulated functions enumerate rates")
-        return sorted({p for (_x, p) in self.table})
+    def job_boundary(self, alpha: float, p: float) -> float:
+        """Job value x at which f(x, p) meets alpha, for alpha > 0.
 
-    def evaluate(self, x: float, p: float) -> float:
-        return eval_f(self, x, p)
+        Product jobs clear the threshold at x >= alpha / p and ratio jobs
+        at x <= p / alpha; tabulated functions have no such boundary.
+        """
+        if self.kind is FunctionKind.PRODUCT:
+            return alpha / p
+        if self.kind is FunctionKind.RATIO:
+            return p / alpha
+        raise ValueError("tabulated functions have no closed-form job boundary")
 
 
 def eval_f(f: ThresholdFunction, x: float, p: float) -> float:
     """Evaluate f(x, p), enforcing the function's domain.
 
-    Raises DomainError when x falls outside the domain (or a ratio is
-    evaluated at x <= 0) and MissingEntry for an absent tabulated pair.
+    Raises DomainError when x falls outside the domain, which for a ratio
+    lies above 0, and MissingEntry for an absent tabulated pair.
     """
     domain = f.domain
     if not domain.lo <= x <= domain.hi:
-        raise DomainError(f"job value {x} outside domain [{domain.lo}, {domain.hi}]")
+        raise _outside_domain(domain, x)
     if f.kind is FunctionKind.PRODUCT:
         return x * p
     if f.kind is FunctionKind.RATIO:
-        if x <= 0.0:
-            raise DomainError(f"ratio evaluated at nonpositive job value {x}")
         return p / x
     assert f.table is not None
     try:
         return f.table[(x, p)]
     except KeyError:
         raise MissingEntry(f"no table entry for pair ({x}, {p})") from None
+
+
+def eval_f_array(f: ThresholdFunction, xs: np.typing.ArrayLike, ps: np.typing.ArrayLike) -> np.ndarray:
+    """Evaluate f over job values and rates broadcast against each other.
+
+    Every job value in xs must lie in the domain, even when the broadcast
+    is empty; the first one outside it (NaN included) raises DomainError.
+    Tabulated pairs are looked up one at a time in row-major order, so an
+    absent pair raises the same MissingEntry that ``eval_f`` would.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ps = np.asarray(ps, dtype=float)
+    domain = f.domain
+    if xs.size and not (domain.lo <= xs.min() and xs.max() <= domain.hi):
+        outside = ~((xs >= domain.lo) & (xs <= domain.hi))
+        raise _outside_domain(domain, float(xs[outside].flat[0]))
+    if f.kind is FunctionKind.PRODUCT:
+        return xs * ps
+    if f.kind is FunctionKind.RATIO:
+        return ps / xs
+    bx, bp = np.broadcast_arrays(xs, ps)
+    values = [eval_f(f, x, p) for x, p in zip(bx.ravel().tolist(), bp.ravel().tolist())]
+    return np.asarray(values, dtype=float).reshape(bx.shape)
+
+
+def _outside_domain(domain: Interval, x: float) -> DomainError:
+    return DomainError(f"job value {x} outside domain [{domain.lo}, {domain.hi}]")
 
 
 @dataclass(frozen=True)
@@ -258,20 +287,6 @@ def check_order_preserving(
                     a, b = (below, above) if below < above else (above, below)
                     return OrderCheck(False, OrderWitness(probes[a], probes[b], rs[u], rs[v]))
     return OrderCheck(True)
-
-
-@dataclass(frozen=True)
-class Job:
-    """An arriving job: sequence index i >= 1 and its value x_i."""
-
-    id: int
-    value: float
-
-    def __post_init__(self) -> None:
-        if self.id < 1:
-            raise ValueError("job ids start at 1")
-        if not math.isfinite(self.value):
-            raise ValueError("job value must be finite")
 
 
 class WorkerState(Enum):
@@ -371,20 +386,3 @@ class AssignmentRecord:
     @property
     def assigned(self) -> bool:
         return self.worker_id is not None
-
-
-def compute_reward(records: Iterable[AssignmentRecord]) -> int:
-    """Count assigned records, insisting each worker serves at most once.
-
-    This models the one-shot reward sum; logs produced with worker cycling
-    legitimately reuse ids and are counted by the policy module instead.
-    """
-    seen: set[int] = set()
-    reward = 0
-    for record in records:
-        if record.assigned:
-            if record.worker_id in seen:
-                raise DuplicateWorker(f"worker {record.worker_id} assigned twice")
-            seen.add(record.worker_id)
-            reward += 1
-    return reward

@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .analysis import MixtureSpec
-from .core import FunctionKind, ThresholdFunction, eval_f
+from .core import FunctionKind, ThresholdFunction, eval_f_array
 from .errors import BadSpec
 
 __all__ = [
@@ -168,7 +168,7 @@ def _prob_given_x(f: ThresholdFunction, alpha: float, x: float, gp: Distribution
     """Pr(f(x, P) >= alpha) with a fixed job value, exact paths only."""
     atoms = gp.atoms()
     if atoms is not None:
-        return math.fsum(1.0 for p in atoms if eval_f(f, x, p) >= alpha) / len(atoms)
+        return int(np.count_nonzero(eval_f_array(f, x, atoms) >= alpha)) / len(atoms)
     if gp.kind is not DistKind.UNIFORM:
         return None
     if f.kind is FunctionKind.PRODUCT:
@@ -182,17 +182,13 @@ def _prob_given_x(f: ThresholdFunction, alpha: float, x: float, gp: Distribution
 
 def _prob_given_p(f: ThresholdFunction, alpha: float, gx: DistributionSpec, p: float) -> float | None:
     """Pr(f(X, p) >= alpha) with a fixed rate and a uniform job value."""
-    if gx.kind is not DistKind.UNIFORM:
+    if gx.kind is not DistKind.UNIFORM or f.kind is FunctionKind.TABULATED:
         return None
+    if alpha <= 0.0:
+        return 1.0
     if f.kind is FunctionKind.PRODUCT:
-        if alpha <= 0.0:
-            return 1.0
-        return _survival_uniform(gx.a, gx.b, alpha / p)
-    if f.kind is FunctionKind.RATIO:
-        if alpha <= 0.0:
-            return 1.0
-        return _cdf_uniform(gx.a, gx.b, p / alpha)
-    return None
+        return _survival_uniform(gx.a, gx.b, f.job_boundary(alpha, p))
+    return _cdf_uniform(gx.a, gx.b, f.job_boundary(alpha, p))
 
 
 def _prob_uniform_uniform(f: ThresholdFunction, alpha: float, gx: DistributionSpec, gp: DistributionSpec) -> float | None:
@@ -207,8 +203,9 @@ def _prob_uniform_uniform(f: ThresholdFunction, alpha: float, gx: DistributionSp
     if f.kind is FunctionKind.PRODUCT:
         # Pr(P >= alpha / x) integrated over x: zero below alpha/bp, one
         # above alpha/ap, linear in between with integral bp*x - alpha*ln(x).
-        x_zero = alpha / bp
-        x_one = alpha / ap if ap > 0.0 else math.inf
+        # The rate support starts above 0, so alpha/ap is finite.
+        x_zero = f.job_boundary(alpha, bp)
+        x_one = f.job_boundary(alpha, ap)
         mid_lo = max(ax, x_zero)
         mid_hi = min(bx, x_one)
         total = 0.0
@@ -219,8 +216,8 @@ def _prob_uniform_uniform(f: ThresholdFunction, alpha: float, gx: DistributionSp
         return total / (bx - ax)
     # Ratio: Pr(P >= alpha * x), one below ap/alpha, zero above bp/alpha,
     # linear in between with integral bp*x - alpha*x^2/2.
-    x_one = ap / alpha
-    x_zero = bp / alpha
+    x_one = f.job_boundary(alpha, ap)
+    x_zero = f.job_boundary(alpha, bp)
     mid_lo = max(ax, x_one)
     mid_hi = min(bx, x_zero)
     total = 0.0
@@ -238,12 +235,8 @@ def _exact_prob(f: ThresholdFunction, alpha: float, gx: DistributionSpec, gp: Di
     if x_atoms is not None and p_atoms is not None:
         if len(x_atoms) * len(p_atoms) > _MAX_EXACT_PAIRS:
             return None
-        passed = 0
-        for x in x_atoms:
-            for p in p_atoms:
-                if eval_f(f, x, p) >= alpha:
-                    passed += 1
-        return passed / (len(x_atoms) * len(p_atoms))
+        values = eval_f_array(f, np.asarray(x_atoms)[:, None], np.asarray(p_atoms)[None, :])
+        return int(np.count_nonzero(values >= alpha)) / values.size
     if x_atoms is not None:
         parts = [_prob_given_x(f, alpha, x, gp) for x in x_atoms]
         if any(part is None for part in parts):
@@ -257,14 +250,6 @@ def _exact_prob(f: ThresholdFunction, alpha: float, gx: DistributionSpec, gp: Di
     if gx.kind is DistKind.UNIFORM and gp.kind is DistKind.UNIFORM:
         return _prob_uniform_uniform(f, alpha, gx, gp)
     return None
-
-
-def _eval_many(f: ThresholdFunction, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    if f.kind is FunctionKind.PRODUCT:
-        return xs * ps
-    if f.kind is FunctionKind.RATIO:
-        return ps / xs
-    raise ValueError("tabulated functions are evaluated atom by atom")
 
 
 def _term_probability(
@@ -282,7 +267,7 @@ def _term_probability(
     rng = np.random.default_rng(np.random.SeedSequence(list(seed_parts)))
     xs = gx.sample(rng, samples)
     ps = gp.sample(rng, samples)
-    w = float(np.mean(_eval_many(f, xs, ps) >= alpha))
+    w = float(np.mean(eval_f_array(f, xs, ps) >= alpha))
     std_error = math.sqrt(w * (1.0 - w) / samples)
     return w, std_error, False
 
@@ -512,7 +497,7 @@ def simulate_case1_realized(
     for slot in range(n):
         spec = g_p[permutation[slot]]
         ps = spec.sample(rng, trials)
-        rewards += _eval_many(f, xs[:, slot], ps) >= alpha
+        rewards += eval_f_array(f, xs[:, slot], ps) >= alpha
     mean = float(rewards.mean())
     std_error = float(rewards.std(ddof=1) / math.sqrt(trials))
     return mean, std_error

@@ -12,7 +12,6 @@ __all__ = [
     "SstapError",
     "DomainError",
     "MissingEntry",
-    "DuplicateWorker",
     "OrderViolation",
     "TooLarge",
     "Infeasible",
@@ -34,10 +33,6 @@ class DomainError(SstapError):
 
 class MissingEntry(SstapError):
     """A tabulated function has no entry for the requested pair."""
-
-
-class DuplicateWorker(SstapError):
-    """A worker id appears in more than one assigned record."""
 
 
 class OrderViolation(SstapError):

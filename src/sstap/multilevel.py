@@ -79,7 +79,8 @@ def run_multilevel(
 
     Every level logs exactly the jobs it was offered, so a record at level
     i + 1 implies rejections at all earlier levels. All levels advance on
-    the same arrival clock.
+    the same arrival clock; every job reaches level 1, whose ``assign_next``
+    rejects an arrival time that runs backwards.
     """
     _validate_levels(levels)
     states = []
@@ -95,11 +96,7 @@ def run_multilevel(
         )
 
     outcomes: list[tuple[int, int | None]] = []
-    previous = -math.inf
     for job_id, (value, arrival_time) in enumerate(jobs, start=1):
-        if arrival_time < previous:
-            raise ValueError("arrival times must be nondecreasing")
-        previous = arrival_time
         assigned_level: int | None = None
         for position, state in enumerate(states):
             record = assign_next(state, value, arrival_time, job_id=job_id)

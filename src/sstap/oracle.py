@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FunctionKind, ThresholdFunction, eval_f
-from .errors import DomainError, TooLarge
+from .core import ThresholdFunction, eval_f, eval_f_array
+from .errors import TooLarge
 
 __all__ = [
     "EXHAUSTIVE_LIMIT",
@@ -52,22 +52,9 @@ class FeasibilityGraph:
         f: ThresholdFunction,
         alpha: float,
     ) -> "FeasibilityGraph":
-        for x in job_values:
-            if not f.domain.contains(x):
-                raise DomainError(f"job value {x} outside domain")
-        if f.kind is FunctionKind.PRODUCT:
-            values = np.asarray(job_values, dtype=float)[:, None] * np.asarray(rates, dtype=float)[None, :]
-            pairs = np.argwhere(values >= alpha)
-        elif f.kind is FunctionKind.RATIO:
-            values = np.asarray(rates, dtype=float)[None, :] / np.asarray(job_values, dtype=float)[:, None]
-            pairs = np.argwhere(values >= alpha)
-        else:
-            pairs = [
-                (i, j)
-                for i, x in enumerate(job_values)
-                for j, p in enumerate(rates)
-                if eval_f(f, x, p) >= alpha
-            ]
+        xs = np.asarray(job_values, dtype=float)[:, None]
+        values = eval_f_array(f, xs, np.asarray(rates, dtype=float)[None, :])
+        pairs = np.argwhere(values >= alpha)
         edges = frozenset((int(i), int(j)) for i, j in pairs)
         return cls(len(job_values), len(rates), edges)
 

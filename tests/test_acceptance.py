@@ -261,7 +261,7 @@ def test_06_mixture_sampling_achieves_full_reward(emit, product_f):
         spec = build_reward_maximizing_mixture(
             extremes, Side.UPPER, sigma=sigma, omega=omega, epsilon=1e-6
         )
-        draws = spec.sampler(seed=303).draw(sets_per_sigma * n)
+        draws = spec.draw_with(np.random.default_rng(303), sets_per_sigma * n)
         hits = 0
         for k in range(sets_per_sigma):
             jobs = draws[k * n : (k + 1) * n]

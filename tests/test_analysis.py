@@ -237,7 +237,6 @@ class TestMixtureConstruction:
                 weights=(0.6, 0.6),
                 sigma=1e-3,
                 omega=Interval(0.0, 1.0),
-                normalizer=1.0,
             )
         with pytest.raises(ValueError):
             MixtureSpec(
@@ -245,8 +244,18 @@ class TestMixtureConstruction:
                 weights=(1.0,),
                 sigma=1e-3,
                 omega=Interval(0.0, 1.0),
-                normalizer=1.0,
             )
+
+    @pytest.mark.parametrize("weights", [(1.5, -0.5), (math.nan, 1.0), (1.0, math.inf)])
+    def test_spec_rejects_negative_or_non_finite_weights(self, weights):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            MixtureSpec(centers=(0.5, 0.6), weights=weights, sigma=1e-3, omega=Interval(0.0, 1.0))
+
+    def test_spec_derives_its_normalizer(self):
+        spec = MixtureSpec(centers=(0.999999,), weights=(1.0,), sigma=1e-4, omega=Interval(0.0, 1.0))
+        assert spec.normalizer == pytest.approx(0.503989356, rel=1e-6)
+        with pytest.raises(TypeError):
+            MixtureSpec(centers=(0.5,), weights=(1.0,), sigma=1e-3, omega=Interval(0.0, 1.0), normalizer=1.0)
 
     def test_quadrature_tracks_closed_form_on_random_mixtures(self):
         rng = np.random.default_rng(77)
@@ -276,12 +285,12 @@ class TestMixtureSampling:
         )
 
     def test_draws_stay_inside_domain(self, lower_spec):
-        draws = lower_spec.sampler(seed=5).draw(20_000)
+        draws = lower_spec.draw_with(np.random.default_rng(5), 20_000)
         assert draws.min() >= 0.0 and draws.max() <= 1.0
 
     def test_per_center_frequencies_within_binomial_bands(self, lower_spec):
         n = 100_000
-        draws = lower_spec.sampler(seed=123).draw(n)
+        draws = lower_spec.draw_with(np.random.default_rng(123), n)
         centers = np.asarray(lower_spec.centers)
         nearest = np.abs(draws[:, None] - centers[None, :]).argmin(axis=1)
         for i, w in enumerate(lower_spec.weights):
@@ -289,18 +298,13 @@ class TestMixtureSampling:
             band = 3.0 * math.sqrt(w * (1.0 - w) / n)
             assert abs(freq - w) <= band
 
-    def test_sampler_is_seeded(self, lower_spec):
-        a = lower_spec.sampler(seed=9).draw(100)
-        b = lower_spec.sampler(seed=9).draw(100)
-        c = lower_spec.sampler(seed=10).draw(100)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
-
     def test_draw_with_uses_caller_generator(self, lower_spec):
         rng = np.random.default_rng(4)
         first = lower_spec.draw_with(rng, 10)
         second = lower_spec.draw_with(np.random.default_rng(4), 10)
+        other = lower_spec.draw_with(np.random.default_rng(5), 10)
         assert np.array_equal(first, second)
+        assert not np.array_equal(first, other)
 
     def test_density_zero_outside_domain(self, lower_spec):
         assert lower_spec.density(-0.1) == 0.0

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
+import signal
 import subprocess
 import sys
 
@@ -29,6 +32,60 @@ TABULATED_FUNCTION = {
     "kind": "tabulated",
     "table": [[x, p, v] for (x, p), v in sorted(NON_ORDER_PRESERVING_TABLE.items())],
 }
+
+
+MIXTURE_CASE1 = {
+    "mode": "dsstap",
+    "case": "I",
+    "alpha": 0.58,
+    "samples": 2_000,
+    "function": {"kind": "product"},
+    "job_spec": {
+        "kind": "gaussian-mixture",
+        "omega": [0.0, 1.0],
+        "centers": [0.6],
+        "weights": [1.0],
+        "sigma": 0.05,
+    },
+    "rate_specs": [{"kind": "point-mass", "c": 1.0}],
+}
+
+# One tabulated pair, with 1001 x 1000 atom pairs: above the exact cap, so
+# the pass probability is sampled.
+TABULATED_MONTE_CARLO = {
+    "mode": "dsstap",
+    "case": "I",
+    "alpha": 0.5,
+    "samples": 1000,
+    "function": {"kind": "tabulated", "table": [[0.5, 0.5, 1.0]]},
+    "job_spec": {"kind": "empirical", "samples": [0.5] * 1001},
+    "rate_specs": [{"kind": "empirical", "samples": [0.5] * 1000}],
+}
+
+
+def with_mixture(**changes):
+    return {**MIXTURE_CASE1, "job_spec": {**MIXTURE_CASE1["job_spec"], **changes}}
+
+
+def with_alpha_range(**changes):
+    alphas = {"start": 0.5, "stop": 1.0, "step": 0.25, **changes}
+    return {"mode": "figure1", "figure1": {"n": 5, "alphas": alphas, "trials": 2}}
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the body once it has run for the given seconds."""
+
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -357,26 +414,23 @@ class TestDsstapMode:
         assert run_cli(tmp_path, payload) == 2
 
     def test_gaussian_mixture_spec_parses(self, tmp_path, capsys):
-        payload = {
-            "mode": "dsstap",
-            "case": "I",
-            "alpha": 0.58,
-            "samples": 2_000,
-            "function": {"kind": "product"},
-            "job_spec": {
-                "kind": "gaussian-mixture",
-                "omega": [0.0, 1.0],
-                "centers": [0.6],
-                "weights": [1.0],
-                "sigma": 0.05,
-            },
-            "rate_specs": [{"kind": "point-mass", "c": 1.0}],
-        }
-        assert run_cli(tmp_path, payload) == 0
+        assert run_cli(tmp_path, MIXTURE_CASE1) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["std_error"] > 0.0
         # Pr(X >= 0.58) for X ~ N(0.6, 0.05^2) barely truncated by [0, 1]
         assert report["value"] == pytest.approx(0.6554, abs=0.06)
+
+    def test_tabulated_monte_carlo_case1(self, tmp_path, capsys):
+        assert run_cli(tmp_path, TABULATED_MONTE_CARLO) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["value"] == 1.0 and report["std_error"] == 0.0
+
+    def test_tabulated_monte_carlo_case2(self, tmp_path, capsys):
+        payload = {**TABULATED_MONTE_CARLO, "case": "II", "job_specs": [TABULATED_MONTE_CARLO["job_spec"]]}
+        assert run_cli(tmp_path, payload) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["provenance"] == "monte-carlo"
+        assert report["entries"] == [[1.0]] and report["total"] == 1.0
 
 
 class TestFigure1Mode:
@@ -413,6 +467,15 @@ class TestFigure1Mode:
         report = json.loads(capsys.readouterr().out)
         assert [row["alpha"] for row in report["rows"]] == [0.5, 0.75, 1.0]
 
+    def test_threshold_count_is_capped(self, tmp_path, capsys):
+        at_cap = with_alpha_range(start=0.0, stop=cli.FIGURE1_MAX_THRESHOLDS - 1.0, step=1.0)
+        at_cap["figure1"].update(n=1, trials=1)
+        assert run_cli(tmp_path, at_cap) == 0
+        assert len(json.loads(capsys.readouterr().out)["rows"]) == cli.FIGURE1_MAX_THRESHOLDS
+        above = with_alpha_range(start=0.0, stop=float(cli.FIGURE1_MAX_THRESHOLDS), step=1.0)
+        assert run_cli(tmp_path, above) == 2
+        assert "at most" in capsys.readouterr().err
+
     def test_csv_output(self, tmp_path):
         out = tmp_path / "out"
         payload = {
@@ -445,6 +508,18 @@ class TestExitCodeContract:
             {**GOLDEN_SIMULATE, "alpha": True},
             {**GOLDEN_SIMULATE, "seed": True},
             {**GOLDEN_SIMULATE, "workers": {"count": True}},
+            {**GOLDEN_SIMULATE, "mode": "check-order", "probes": 5},
+            {**GOLDEN_SIMULATE, "mode": "check-order", "probes": []},
+            {**GOLDEN_SIMULATE, "mode": "check-order", "workers": []},
+            with_mixture(centers=0.5),
+            with_mixture(weights=1.0),
+            with_mixture(sigma=0),
+            {**MIXTURE_CASE1, "rate_specs": 5},
+            {**MIXTURE_CASE1, "case": "II", "job_specs": 5},
+            with_alpha_range(step=math.nan),
+            with_alpha_range(stop=math.inf),
+            {"mode": "figure1", "figure1": {"n": 5, "alphas": [0.5, math.nan], "trials": 2}},
+            {"mode": "figure1", "figure1": 5},
         ],
         ids=[
             "simulate-time-backwards",
@@ -454,10 +529,38 @@ class TestExitCodeContract:
             "alpha-true",
             "seed-true",
             "worker-count-true",
+            "probes-not-a-list",
+            "probes-empty",
+            "check-order-without-workers",
+            "mixture-centers-not-a-list",
+            "mixture-weights-not-a-list",
+            "mixture-sigma-zero",
+            "rate-specs-not-a-list",
+            "job-specs-not-a-list",
+            "figure1-step-nan",
+            "figure1-stop-infinity",
+            "figure1-alpha-list-nan",
+            "figure1-not-an-object",
         ],
     )
     def test_exits_2_with_one_line(self, tmp_path, capsys, payload):
         assert run_cli(tmp_path, payload) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            with_mixture(sigma=math.nan),
+            with_mixture(centers=[math.nan]),
+            with_mixture(centers=[0.4, 0.6], weights=[math.nan, 1.0]),
+            with_alpha_range(step=1e-300),
+        ],
+        ids=["mixture-sigma-nan", "mixture-center-nan", "mixture-weight-nan", "figure1-step-tiny"],
+    )
+    def test_unbounded_work_is_refused_within_a_second(self, tmp_path, capsys, payload):
+        with time_limit(1.0):
+            assert run_cli(tmp_path, payload) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,26 +12,26 @@ from hypothesis import strategies as st
 from sstap import (
     AssignmentRecord,
     DomainError,
-    DuplicateWorker,
     FunctionKind,
     Instance,
     Interval,
-    Job,
     MissingEntry,
     Monotonicity,
     ThresholdFunction,
     Worker,
     WorkerState,
     check_order_preserving,
-    compute_reward,
     default_probe_grid,
     eval_f,
+    eval_f_array,
 )
 from tests.conftest import (
     NON_ORDER_PRESERVING_TABLE,
     TABULATED_JOBS,
     TABULATED_RATES,
+    functions_jobs_rates,
     make_workers,
+    outer_reference,
 )
 
 
@@ -62,7 +63,6 @@ class TestThresholdFunction:
         assert product_f.kind is FunctionKind.PRODUCT
         assert product_f.monotonicity_in_x is Monotonicity.INCREASING
         assert eval_f(product_f, 0.275, 0.6) == pytest.approx(0.165)
-        assert product_f.evaluate(0.275, 0.6) == eval_f(product_f, 0.275, 0.6)
 
     def test_product_requires_nonnegative_domain(self):
         with pytest.raises(ValueError):
@@ -91,7 +91,6 @@ class TestThresholdFunction:
     def test_tabulated_domain_is_inferred_from_jobs(self, tabulated_f):
         assert tabulated_f.domain == Interval(1.0, 3.0)
         assert tuple(tabulated_f.job_values()) == TABULATED_JOBS
-        assert tuple(tabulated_f.rate_values()) == TABULATED_RATES
 
     def test_tabulated_requires_entries(self):
         with pytest.raises(ValueError):
@@ -100,6 +99,57 @@ class TestThresholdFunction:
     def test_analytic_kinds_do_not_enumerate_tables(self, product_f):
         with pytest.raises(ValueError):
             product_f.job_values()
+
+
+def outcome(compute):
+    """The computed values as nested lists, or the error type and message."""
+    try:
+        return compute()
+    except (DomainError, MissingEntry) as exc:
+        return type(exc), str(exc)
+
+
+class TestArrayEvaluation:
+    @settings(max_examples=300, deadline=None)
+    @given(case=functions_jobs_rates())
+    def test_outer_product_matches_pairwise_eval(self, case):
+        f, xs, ps = case
+        expected = outcome(lambda: outer_reference(f, xs, ps))
+        got = outcome(lambda: eval_f_array(f, np.asarray(xs)[:, None], np.asarray(ps)[None, :]).tolist())
+        assert got == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=functions_jobs_rates())
+    def test_elementwise_matches_pairwise_eval(self, case):
+        f, xs, ps = case
+        n = min(len(xs), len(ps))
+        xs, ps = xs[:n], ps[:n]
+
+        def reference():
+            outer_reference(f, xs, [])  # the domain check on every job value
+            return [eval_f(f, x, p) for x, p in zip(xs, ps)]
+
+        expected = outcome(reference)
+        got = outcome(lambda: eval_f_array(f, xs, ps).tolist())
+        assert got == expected
+
+    def test_scalar_job_against_rate_list(self, product_f):
+        assert eval_f_array(product_f, 0.5, [0.2, 0.4]).tolist() == [0.1, 0.2]
+
+
+class TestJobBoundary:
+    @pytest.mark.parametrize(
+        "f",
+        [ThresholdFunction.product(Interval(0.0, 1.0)), ThresholdFunction.ratio(Interval(0.1, 2.0))],
+        ids=["product", "ratio"],
+    )
+    def test_boundary_meets_the_threshold(self, f):
+        x = f.job_boundary(0.3, 0.6)
+        assert eval_f(f, x, 0.6) == pytest.approx(0.3)
+
+    def test_tabulated_has_no_boundary(self, tabulated_f):
+        with pytest.raises(ValueError):
+            tabulated_f.job_boundary(0.1, 0.5)
 
 
 class TestOrderCheck:
@@ -179,13 +229,6 @@ class TestOrderCheck:
 
 
 class TestWorkers:
-    def test_job_validation(self):
-        assert Job(id=1, value=0.5).value == 0.5
-        with pytest.raises(ValueError):
-            Job(id=0, value=0.5)
-        with pytest.raises(ValueError):
-            Job(id=1, value=float("nan"))
-
     def test_rate_must_lie_in_unit_interval(self):
         with pytest.raises(ValueError):
             Worker(id=1, rate=0.0)
@@ -244,24 +287,6 @@ class TestRecords:
         with pytest.raises(ValueError):
             AssignmentRecord(job_id=1, threshold=0.5, worker_id=1, f_value=0.4)
 
-    def test_compute_reward_counts_assignments(self):
-        records = [
-            AssignmentRecord(job_id=1, threshold=0.1, worker_id=3, f_value=0.3),
-            AssignmentRecord(job_id=2, threshold=0.1),
-            AssignmentRecord(job_id=3, threshold=0.1, worker_id=1, f_value=0.2),
-        ]
-        assert compute_reward(records) == 2
-
-    def test_compute_reward_rejects_one_shot_reuse(self):
-        records = [
-            AssignmentRecord(job_id=1, threshold=0.1, worker_id=3, f_value=0.3),
-            AssignmentRecord(job_id=2, threshold=0.1, worker_id=3, f_value=0.4),
-        ]
-        with pytest.raises(DuplicateWorker):
-            compute_reward(records)
-
-    def test_reward_never_negative_and_bounded(self):
-        assert compute_reward([]) == 0
 
 
 def test_exact_float_table_keys_do_not_round():

@@ -162,6 +162,17 @@ class TestExpectedRewardCase1:
         with pytest.raises(BadSpec):
             expected_reward_case1(g_x, [DistributionSpec.point_mass(0.5)], f, 0.5)
 
+    def test_tabulated_monte_carlo_beyond_exact_cap(self):
+        # 1001 x 1000 atom pairs exceed the exact cap; half of them pass
+        f = ThresholdFunction.tabulated({(1.0, 0.25): 1.0, (1.0, 0.75): 0.0, (2.0, 0.25): 0.0, (2.0, 0.75): 1.0})
+        g_x = DistributionSpec.empirical([1.0, 2.0] * 500 + [1.0])
+        g_p = [DistributionSpec.empirical([0.25, 0.75] * 500)]
+        value, std_error = expected_reward_case1(g_x, g_p, f, 0.5, mc=(4_000, 3))
+        assert std_error > 0.0
+        assert abs(value - 0.5) <= 4.0 * std_error
+        mean, se = simulate_case1_realized(g_x, g_p * 2, f, 0.5, [1, 0], 2_000, 5)
+        assert abs(mean - 1.0) <= 4.0 * se
+
     def test_uniform_rates_closed_form(self):
         # product: Pr(X * P >= alpha) with X ~ U(0,1), P ~ U(ap, bp)
         g_x = DistributionSpec.uniform(0.0, 1.0)

@@ -6,9 +6,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sstap import (
     DomainError,
+    MissingEntry,
     FeasibilityGraph,
     Instance,
     Interval,
@@ -26,7 +29,9 @@ from tests.conftest import (
     TABULATED_ALPHA,
     TABULATED_JOBS,
     TABULATED_RATES,
+    functions_jobs_rates,
     make_workers,
+    outer_reference,
 )
 
 
@@ -64,6 +69,27 @@ class TestFeasibilityGraph:
         f = ThresholdFunction.product(Interval(0.0, 1.0))
         with pytest.raises(DomainError):
             FeasibilityGraph.build([1.5], [0.5], f, alpha=0.1)
+
+    def test_empty_sides_give_an_empty_graph(self, product_f, tabulated_f):
+        for f in (product_f, tabulated_f):
+            assert FeasibilityGraph.build([], [0.5], f, 0.1).edges == frozenset()
+            assert FeasibilityGraph.build([1.0], [], f, 0.1).edges == frozenset()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=functions_jobs_rates(), alpha=st.floats(-0.5, 2.0))
+    def test_matches_pairwise_eval(self, case, alpha):
+        f, xs, ps = case
+        try:
+            values = outer_reference(f, xs, ps)
+        except (DomainError, MissingEntry) as exc:
+            with pytest.raises(type(exc)):
+                FeasibilityGraph.build(xs, ps, f, alpha)
+            return
+        graph = FeasibilityGraph.build(xs, ps, f, alpha)
+        assert (graph.n_jobs, graph.n_workers) == (len(xs), len(ps))
+        assert graph.edges == {
+            (i, j) for i, row in enumerate(values) for j, value in enumerate(row) if value >= alpha
+        }
 
 
 class TestExhaustive:

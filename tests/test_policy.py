@@ -41,8 +41,8 @@ class TestWorkerPool:
         pool.assign(1, 0.5)
         pool.assign(2, None)
         assert [w.id for w in pool.available()] == [3]
-        assert [w.id for w in pool.busy()] == [1]
-        assert [w.id for w in pool.consumed()] == [2]
+        assert pool.get(1).state is WorkerState.BUSY
+        assert pool.get(2).state is WorkerState.CONSUMED
         with pytest.raises(ValueError):
             pool.assign(2, 1.0)
         assert [w.id for w in pool.available()] == [3]
