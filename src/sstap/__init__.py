@@ -22,7 +22,6 @@ from .core import (
     OrderWitness,
     ThresholdFunction,
     Worker,
-    WorkerState,
     check_order_preserving,
     default_probe_grid,
     eval_f,
@@ -57,10 +56,8 @@ from .multilevel import (
     FlatComparison,
     LevelSpec,
     MultilevelResult,
-    build_levels,
     compare_flat,
     run_multilevel,
-    split_workers_by_share,
 )
 from .oracle import (
     FeasibilityGraph,
@@ -72,7 +69,6 @@ from .policy import (
     WorkerPool,
     assign_next,
     greedy_threshold_count,
-    release_returning_workers,
     run_stream,
     verify_order_preserving,
 )

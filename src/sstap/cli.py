@@ -33,7 +33,7 @@ from .core import (
 )
 from .errors import ConfigError, SstapError
 from .multilevel import LevelSpec
-from .policy import greedy_threshold_count, run_stream, verify_order_preserving
+from .policy import CYCLE_DELAY_MODES, greedy_threshold_count, run_stream, verify_order_preserving
 
 __all__ = ["RunConfig", "run", "run_figure1", "main"]
 
@@ -206,6 +206,8 @@ def _parse_jobs(value: Any, seed: int, field: str = "jobs") -> list[tuple[float,
         for _value, arrival_time in jobs:
             if not arrival_time >= previous:
                 raise ConfigError(f"{field}.values arrival times must be nonnegative and nondecreasing")
+            if not math.isfinite(arrival_time):
+                raise ConfigError(f"{field}.values arrival times must be finite")
             previous = arrival_time
         return jobs
     if "distribution" in value:
@@ -311,7 +313,7 @@ def _run_simulate(config: RunConfig) -> tuple[dict[str, Any], dict[str, str]]:
     instance = _build_instance(config)
     jobs = _parse_jobs(_require(config.raw, "jobs"), config.seed)
     mode = config.raw.get("cycle_delay_mode", "deterministic")
-    if mode not in ("deterministic", "exponential"):
+    if mode not in CYCLE_DELAY_MODES:
         raise ConfigError("cycle_delay_mode must be deterministic or exponential")
     records, reward = run_stream(
         instance,

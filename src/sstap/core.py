@@ -31,7 +31,6 @@ __all__ = [
     "ThresholdFunction",
     "OrderWitness",
     "OrderCheck",
-    "WorkerState",
     "Worker",
     "Instance",
     "AssignmentRecord",
@@ -289,65 +288,33 @@ def check_order_preserving(
     return OrderCheck(True)
 
 
-class WorkerState(Enum):
-    AVAILABLE = "available"
-    BUSY = "busy"
-    CONSUMED = "consumed"
-
-
-@dataclass
+@dataclass(frozen=True)
 class Worker:
     """A worker with performance rate p in (0, 1] and cycle rate lambda.
 
-    A worker assigned a job becomes Consumed when its cycle rate is
-    infinite, otherwise Busy until its return time. Consumed is terminal.
+    A worker with an infinite cycle rate serves at most once per run;
+    otherwise it returns after each service. Whether it is free, busy or
+    consumed belongs to one policy run, not to the worker.
     """
 
     id: int
     rate: float
     cycle_rate: float = math.inf
-    state: WorkerState = WorkerState.AVAILABLE
-    return_time: float | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.rate <= 1.0):
             raise ValueError(f"worker rate must lie in (0, 1], got {self.rate}")
         if not self.cycle_rate > 0.0:
             raise ValueError("cycle rate must be positive (inf for single-use workers)")
-        if (self.state is WorkerState.BUSY) != (self.return_time is not None):
-            raise ValueError("busy workers and only busy workers carry a return time")
-
-    @property
-    def available(self) -> bool:
-        return self.state is WorkerState.AVAILABLE
-
-    def mark_assigned(self, busy_until: float | None) -> None:
-        if self.state is not WorkerState.AVAILABLE:
-            raise ValueError(f"worker {self.id} is {self.state.value}, not available")
-        if busy_until is None:
-            self.state = WorkerState.CONSUMED
-            self.return_time = None
-        else:
-            self.state = WorkerState.BUSY
-            self.return_time = busy_until
-
-    def release(self) -> None:
-        if self.state is WorkerState.CONSUMED:
-            raise ValueError(f"worker {self.id} is consumed and never returns")
-        self.state = WorkerState.AVAILABLE
-        self.return_time = None
-
-    def copy(self) -> "Worker":
-        return Worker(self.id, self.rate, self.cycle_rate, self.state, self.return_time)
 
 
 @dataclass(frozen=True)
 class Instance:
     """A problem instance: threshold alpha, function f, and a worker roster.
 
-    The roster is a template; policy runs operate on their own copies so an
-    instance can be replayed. The seed feeds any stochastic simulation
-    component (exponential cycle delays, sampled job streams).
+    Workers are immutable, so policy runs share the roster and an instance
+    can be replayed. The seed feeds any stochastic simulation component
+    (exponential cycle delays, sampled job streams).
     """
 
     alpha: float

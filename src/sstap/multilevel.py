@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AssignmentRecord, FunctionKind, Instance, ThresholdFunction, Worker, eval_f
+from .core import AssignmentRecord, FunctionKind, Instance, ThresholdFunction, Worker
 from .errors import IncomparableLevels
 from .policy import PolicyState, assign_next, run_stream
 
@@ -25,8 +25,6 @@ __all__ = [
     "FlatComparison",
     "run_multilevel",
     "compare_flat",
-    "split_workers_by_share",
-    "build_levels",
 ]
 
 
@@ -171,54 +169,3 @@ def compare_flat(
         leveled=leveled,
         flat_records=tuple(flat_records),
     )
-
-
-def split_workers_by_share(
-    workers: Sequence[Worker],
-    f: ThresholdFunction,
-    shares: Sequence[float] = (0.7, 0.2, 0.1),
-) -> list[tuple[Worker, ...]]:
-    """Partition workers into level groups by the ordering f induces.
-
-    Workers are sorted ascending by f at a fixed probe value (weakest
-    first), then split so group i holds floor(share_i * n) workers, with
-    any remainder going to the first group.
-    """
-    if not workers:
-        raise ValueError("workers must be nonempty")
-    if not shares:
-        raise ValueError("shares must be nonempty")
-    if any(share <= 0.0 for share in shares):
-        raise ValueError("shares must be positive")
-    if abs(math.fsum(shares) - 1.0) > 1e-9:
-        raise ValueError("shares must sum to one")
-    if f.kind is FunctionKind.TABULATED:
-        probe = f.job_values()[0]
-    else:
-        midpoint = 0.5 * (f.domain.lo + f.domain.hi)
-        probe = midpoint if midpoint > f.domain.lo else f.domain.hi
-    ranked = sorted(workers, key=lambda w: (eval_f(f, probe, w.rate), w.rate, w.id))
-    n = len(ranked)
-    sizes = [int(math.floor(share * n)) for share in shares]
-    sizes[0] += n - sum(sizes)
-    groups: list[tuple[Worker, ...]] = []
-    start = 0
-    for size in sizes:
-        groups.append(tuple(ranked[start : start + size]))
-        start += size
-    return groups
-
-
-def build_levels(
-    workers: Sequence[Worker],
-    f: ThresholdFunction,
-    alpha: float,
-    shares: Sequence[float] = (0.7, 0.2, 0.1),
-) -> list[LevelSpec]:
-    """Levels over one shared function and threshold, split by shares."""
-    groups = split_workers_by_share(workers, f, shares)
-    levels = []
-    for position, group in enumerate(groups, start=1):
-        if group:
-            levels.append(LevelSpec(index=position, workers=group, alpha=alpha, f=f))
-    return levels

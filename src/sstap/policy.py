@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -41,7 +41,6 @@ from .core import (
     OrderCheck,
     ThresholdFunction,
     Worker,
-    WorkerState,
     check_order_preserving,
     eval_f,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "PolicyState",
     "assign_next",
     "run_stream",
-    "release_returning_workers",
     "verify_order_preserving",
     "greedy_threshold_count",
 ]
@@ -64,31 +62,20 @@ _worker_id = attrgetter("id")
 
 
 class WorkerPool:
-    """Mutable roster of workers owned by a single policy run.
+    """Run state of one policy run over a roster of immutable workers.
 
-    The pool also indexes its workers for the greedy rule: the free ones in
-    a list sorted by (rate, id), with their rates in a parallel list for
-    bisection, and the busy ones in a heap of (return_time, id, worker).
-    Workers change state only through ``assign`` and ``release_returning``;
-    the index does not see a worker whose state is changed from outside.
+    A worker is free while it is in a list sorted by (rate, id), whose
+    rates a parallel list holds for bisection; busy while it is in a heap
+    of (return_time, id, worker); and consumed when it is in neither.
+    Workers change state only through ``assign`` and ``release_returning``.
     """
 
     def __init__(self, workers: Iterable[Worker]):
-        self._workers = [w.copy() for w in workers]
-        self._by_id = {w.id: w for w in self._workers}
-        if len(self._by_id) != len(self._workers):
+        self._free = sorted(workers, key=lambda w: (w.rate, w.id))
+        if len({w.id for w in self._free}) != len(self._free):
             raise ValueError("worker ids must be unique")
-        self._free = sorted((w for w in self._workers if w.available), key=lambda w: (w.rate, w.id))
         self._free_rates = [w.rate for w in self._free]
-        self._returns = [(w.return_time, w.id, w) for w in self._workers if w.state is WorkerState.BUSY]
-        heapify(self._returns)
-
-    @property
-    def workers(self) -> tuple[Worker, ...]:
-        return tuple(self._workers)
-
-    def get(self, worker_id: int) -> Worker:
-        return self._by_id[worker_id]
+        self._returns: list[tuple[float, int, Worker]] = []
 
     def available(self) -> list[Worker]:
         """Free workers in (rate, id) order."""
@@ -115,11 +102,11 @@ class WorkerPool:
         worker = self._free[j]
         return worker, eval_f(f, x, worker.rate)
 
-    def assign(self, worker_id: int, busy_until: float | None) -> None:
+    def assign(self, worker: Worker, busy_until: float | None) -> None:
         """Take a free worker: busy until the given time, or consumed for None."""
-        worker = self._by_id[worker_id]
-        worker.mark_assigned(busy_until)
         i = self._position(worker)
+        if i == len(self._free) or self._free[i] != worker:
+            raise ValueError(f"worker {worker.id} is not free")
         del self._free[i]
         del self._free_rates[i]
         if busy_until is not None:
@@ -130,7 +117,6 @@ class WorkerPool:
         released = []
         while self._returns and self._returns[0][0] <= now:
             _time, worker_id, worker = heappop(self._returns)
-            worker.release()
             i = self._position(worker)
             self._free.insert(i, worker)
             self._free_rates.insert(i, worker.rate)
@@ -162,7 +148,7 @@ def verify_order_preserving(instance: Instance) -> OrderCheck:
 class PolicyState:
     """Running state of one greedy policy execution.
 
-    Owns a copy of the instance's workers, the simulation clock, and the
+    Owns the pool of the instance's workers, the simulation clock, and the
     decision log. ``heuristic`` becomes true once a non-order-preserving
     function has been forced past the order gate.
     """
@@ -204,13 +190,6 @@ class PolicyState:
         return sum(1 for record in self.log if record.assigned)
 
 
-def release_returning_workers(state: PolicyState, now: float) -> list[int]:
-    """Release every busy worker whose return time has passed, ids ascending."""
-    if not now >= state.clock:
-        raise ValueError("time must not run backwards")
-    return state.pool.release_returning(now)
-
-
 def assign_next(
     state: PolicyState,
     x: float,
@@ -235,7 +214,7 @@ def assign_next(
                 witness=check.witness,
             )
         state._heuristic = True
-    release_returning_workers(state, arrival_time)
+    state.pool.release_returning(arrival_time)
     state.clock = arrival_time
 
     instance = state.instance
@@ -247,7 +226,7 @@ def assign_next(
     else:
         worker, value = choice
         busy_until = None if math.isinf(worker.cycle_rate) else arrival_time + state._cycle_delay(worker)
-        state.pool.assign(worker.id, busy_until)
+        state.pool.assign(worker, busy_until)
         record = AssignmentRecord(
             job_id=job_id,
             threshold=instance.alpha,

@@ -520,6 +520,8 @@ class TestExitCodeContract:
             with_alpha_range(stop=math.inf),
             {"mode": "figure1", "figure1": {"n": 5, "alphas": [0.5, math.nan], "trials": 2}},
             {"mode": "figure1", "figure1": 5},
+            {**GOLDEN_SIMULATE, "jobs": {"values": [[0.5, 0.0], [0.6, math.inf]]}},
+            {**TestMultilevelMode.PAYLOAD, "jobs": {"values": [[0.5, math.inf]]}},
         ],
         ids=[
             "simulate-time-backwards",
@@ -541,6 +543,8 @@ class TestExitCodeContract:
             "figure1-stop-infinity",
             "figure1-alpha-list-nan",
             "figure1-not-an-object",
+            "simulate-arrival-time-infinite",
+            "multilevel-arrival-time-infinite",
         ],
     )
     def test_exits_2_with_one_line(self, tmp_path, capsys, payload):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from sstap import (
     Monotonicity,
     ThresholdFunction,
     Worker,
-    WorkerState,
+    WorkerPool,
     check_order_preserving,
     default_probe_grid,
     eval_f,
@@ -234,29 +235,34 @@ class TestWorkers:
             Worker(id=1, rate=0.0)
         with pytest.raises(ValueError):
             Worker(id=1, rate=1.2)
-        assert Worker(id=1, rate=1.0).state is WorkerState.AVAILABLE
+        with pytest.raises(ValueError):
+            Worker(id=1, rate=0.5, cycle_rate=0.0)
+        assert Worker(id=1, rate=1.0).rate == 1.0
 
     def test_single_use_worker_is_consumed(self):
         w = Worker(id=1, rate=0.5)
-        w.mark_assigned(None)
-        assert w.state is WorkerState.CONSUMED and w.return_time is None
+        pool = WorkerPool([w])
+        pool.assign(w, None)
+        assert pool.available() == []
+        assert pool.release_returning(math.inf) == []
         with pytest.raises(ValueError):
-            w.release()
-        with pytest.raises(ValueError):
-            w.mark_assigned(None)
+            pool.assign(w, None)
 
     def test_cycling_worker_goes_busy_then_returns(self):
         w = Worker(id=1, rate=0.5, cycle_rate=2.0)
-        w.mark_assigned(1.5)
-        assert w.state is WorkerState.BUSY and w.return_time == 1.5
-        w.release()
-        assert w.state is WorkerState.AVAILABLE and w.return_time is None
+        pool = WorkerPool([w])
+        pool.assign(w, 1.5)
+        with pytest.raises(ValueError):
+            pool.assign(w, 2.0)
+        assert pool.release_returning(np.nextafter(1.5, 0.0)) == []
+        assert pool.release_returning(1.5) == [1]
+        assert pool.available() == [w]
 
-    def test_copy_is_independent(self):
+    def test_worker_is_frozen(self):
         w = Worker(id=1, rate=0.5, cycle_rate=2.0)
-        clone = w.copy()
-        clone.mark_assigned(1.0)
-        assert w.state is WorkerState.AVAILABLE
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.rate = 0.9
+        assert w.rate == 0.5
 
     def test_instance_requires_unique_ids(self, product_f):
         with pytest.raises(ValueError):

@@ -12,11 +12,9 @@ from sstap import (
     LevelSpec,
     ThresholdFunction,
     Worker,
-    build_levels,
     compare_flat,
     run_multilevel,
     run_stream,
-    split_workers_by_share,
 )
 from tests.conftest import make_workers
 
@@ -128,6 +126,19 @@ class TestCompareFlat:
         comparison = compare_flat([level], jobs)
         assert comparison.gap == 0
 
+    def test_flat_run_shares_workers_with_the_leveled_run(self, product_f):
+        levels = [
+            LevelSpec(index=1, workers=make_workers([0.3, 0.6], cycle_rate=2.0), alpha=0.2, f=product_f),
+            LevelSpec(index=2, workers=(Worker(id=3, rate=0.9, cycle_rate=2.0),), alpha=0.2, f=product_f),
+        ]
+        jobs = [(0.8, 0.1 * k) for k in range(12)]
+        comparison = compare_flat(levels, jobs, rng_seed=5)
+        pool = tuple(worker for level in levels for worker in level.workers)
+        records, reward = run_stream(Instance(alpha=0.2, f=product_f, workers=pool, rng_seed=5), jobs)
+        assert comparison.flat_records == tuple(records)
+        assert comparison.flat == reward
+        assert len(pool) < reward < len(jobs)  # workers return, and some jobs find none free
+
     def test_mismatched_alpha_rejected(self, product_f):
         levels = [
             LevelSpec(index=1, workers=make_workers([0.5]), alpha=0.1, f=product_f),
@@ -172,44 +183,3 @@ class TestCompareFlat:
             assert comparison.gap >= 0
             assert comparison.flat == comparison.sum_leveled + comparison.gap
 
-
-class TestWorkerSplit:
-    def test_default_shares_split_sizes(self, product_f):
-        workers = make_workers([i / 10 for i in range(1, 11)])
-        groups = split_workers_by_share(workers, product_f)
-        assert [len(g) for g in groups] == [7, 2, 1]
-
-    def test_remainder_goes_to_first_level(self, product_f):
-        workers = make_workers([i / 12 for i in range(1, 13)])
-        groups = split_workers_by_share(workers, product_f)
-        # 12 * (0.7, 0.2, 0.1) floors to (8, 2, 1); the leftover joins level 1
-        assert [len(g) for g in groups] == [9, 2, 1]
-
-    def test_levels_follow_ascending_function_order(self, product_f):
-        workers = make_workers([0.9, 0.1, 0.5, 0.7, 0.3])
-        groups = split_workers_by_share(workers, product_f, shares=(0.4, 0.4, 0.2))
-        rates = [[w.rate for w in g] for g in groups]
-        assert rates == [[0.1, 0.3], [0.5, 0.7], [0.9]]
-
-    def test_shares_must_sum_to_one(self, product_f):
-        with pytest.raises(ValueError):
-            split_workers_by_share(make_workers([0.5]), product_f, shares=(0.5, 0.1))
-
-    def test_build_levels_drops_empty_groups(self, product_f):
-        # two workers: floors (1, 0, 0) plus remainder leaves only level 1
-        workers = make_workers([0.2, 0.8])
-        levels = build_levels(workers, product_f, alpha=0.1)
-        assert [level.index for level in levels] == [1]
-        assert len(levels[0].workers) == 2
-
-    def test_build_levels_keeps_positions_of_surviving_groups(self, product_f):
-        workers = make_workers([i / 10 for i in range(1, 11)])
-        levels = build_levels(workers, product_f, alpha=0.1)
-        assert [level.index for level in levels] == [1, 2, 3]
-        assert [len(level.workers) for level in levels] == [7, 2, 1]
-
-    def test_build_levels_round_trip_runs(self, product_f):
-        workers = make_workers([i / 10 for i in range(1, 11)])
-        levels = build_levels(workers, product_f, alpha=0.2)
-        result = run_multilevel(levels, [(0.9, 0.0), (0.5, 0.0), (0.2, 0.0)])
-        assert 0 <= result.total <= 3

@@ -20,11 +20,9 @@ from sstap import (
     ThresholdFunction,
     Worker,
     WorkerPool,
-    WorkerState,
     assign_next,
     eval_f,
     greedy_threshold_count,
-    release_returning_workers,
     run_stream,
     verify_order_preserving,
 )
@@ -37,30 +35,40 @@ def stream(values):
 
 class TestWorkerPool:
     def test_views_partition_the_pool(self):
-        pool = WorkerPool(make_workers([0.4, 0.5, 0.6], cycle_rate=2.0))
-        pool.assign(1, 0.5)
-        pool.assign(2, None)
-        assert [w.id for w in pool.available()] == [3]
-        assert pool.get(1).state is WorkerState.BUSY
-        assert pool.get(2).state is WorkerState.CONSUMED
-        with pytest.raises(ValueError):
-            pool.assign(2, 1.0)
-        assert [w.id for w in pool.available()] == [3]
-
-    def test_pool_copies_input_workers(self):
-        workers = make_workers([0.4])
+        workers = make_workers([0.4, 0.5, 0.6], cycle_rate=2.0)
         pool = WorkerPool(workers)
-        pool.get(1).mark_assigned(None)
-        assert workers[0].state is WorkerState.AVAILABLE
+        pool.assign(workers[0], 0.5)
+        pool.assign(workers[1], None)
+        assert [w.id for w in pool.available()] == [3]
+        # busy, consumed, and never in the pool
+        for taken in (workers[0], workers[1], Worker(id=9, rate=0.5)):
+            with pytest.raises(ValueError):
+                pool.assign(taken, 1.0)
+        assert [w.id for w in pool.available()] == [3]
+        assert pool.release_returning(math.inf) == [1]
+        assert [w.id for w in pool.available()] == [1, 3]
+
+    def test_runs_share_workers_and_replay(self, product_f):
+        inst = Instance(
+            alpha=0.1,
+            f=product_f,
+            workers=make_workers([0.3, 0.5, 0.9], cycle_rate=4.0),
+            rng_seed=3,
+        )
+        jobs = [(0.9, 0.1 * k) for k in range(30)]
+        first = run_stream(inst, jobs, cycle_delay_mode="exponential")
+        assert 3 < first[1] < 30  # workers return, and some jobs find none free
+        assert run_stream(inst, jobs, cycle_delay_mode="exponential") == first
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
             WorkerPool([Worker(id=1, rate=0.4), Worker(id=1, rate=0.5)])
 
     def test_release_returning_is_sorted_by_id(self):
-        pool = WorkerPool(make_workers([0.4, 0.5, 0.6], cycle_rate=1.0))
+        workers = make_workers([0.4, 0.5, 0.6], cycle_rate=1.0)
+        pool = WorkerPool(workers)
         for wid, busy_until in ((3, 0.5), (1, 1.0), (2, 0.75)):
-            pool.assign(wid, busy_until)
+            pool.assign(workers[wid - 1], busy_until)
         released = pool.release_returning(1.0)
         assert released == [1, 2, 3]
         assert [w.id for w in pool.available()] == [1, 2, 3]
@@ -99,7 +107,7 @@ class TestGreedySelection:
         state = PolicyState(inst)
         record = assign_next(state, 0.0, 0.0)
         assert record.f_value == 0.0
-        assert state.pool.get(record.worker_id).rate == 0.4
+        assert record.worker_id == 2  # the worker of rate 0.4
 
     def test_tie_broken_by_smaller_id_at_equal_rate(self):
         f = ThresholdFunction.product(Interval(0.0, 1.0))
@@ -169,7 +177,8 @@ class TestCycling:
     def test_infinite_cycle_rate_consumes(self, product_instance):
         state = PolicyState(product_instance)
         record = assign_next(state, 0.9575, 0.0)
-        assert state.pool.get(record.worker_id).state is WorkerState.CONSUMED
+        assert state.pool.release_returning(math.inf) == []
+        assert record.worker_id not in [w.id for w in state.pool.available()]
 
     def test_deterministic_delay_is_reciprocal_rate(self, product_f):
         inst = Instance(
@@ -177,8 +186,8 @@ class TestCycling:
         )
         state = PolicyState(inst)
         assign_next(state, 0.9, 0.0)
-        worker = state.pool.get(1)
-        assert worker.state is WorkerState.BUSY and worker.return_time == 0.5
+        assert state.pool.release_returning(np.nextafter(0.5, 0.0)) == []
+        assert state.pool.release_returning(0.5) == [1]
 
     def test_worker_serves_again_after_return(self, product_f):
         inst = Instance(
@@ -197,25 +206,24 @@ class TestCycling:
         state = PolicyState(inst)
         assign_next(state, 0.9, 0.0)
         assign_next(state, 0.9, 0.0)
-        assert release_returning_workers(state, 0.2) == []
-        assert release_returning_workers(state, 0.25) == [1, 2]
+        assert state.pool.release_returning(0.2) == []
+        assert state.pool.release_returning(0.25) == [1, 2]
         assert len(state.pool.available()) == 2
 
     def test_exponential_delays_are_seeded(self, product_f):
-        def return_time(seed):
-            inst = Instance(
-                alpha=0.1,
-                f=product_f,
-                workers=make_workers([0.5], cycle_rate=2.0),
-                rng_seed=seed,
-            )
-            state = PolicyState(inst, cycle_delay_mode="exponential")
-            assign_next(state, 0.9, 0.0)
-            return state.pool.get(1).return_time
-
-        assert return_time(11) == return_time(11)
-        assert return_time(11) != return_time(12)
-        assert return_time(11) != 0.5  # not the deterministic delay
+        seed = 11
+        inst = Instance(
+            alpha=0.1,
+            f=product_f,
+            workers=make_workers([0.5], cycle_rate=2.0),
+            rng_seed=seed,
+        )
+        state = PolicyState(inst, cycle_delay_mode="exponential")
+        assign_next(state, 0.9, 0.0)
+        t = np.random.default_rng(seed).exponential(0.5)
+        assert t != 0.5  # not the deterministic delay
+        assert state.pool.release_returning(np.nextafter(t, 0.0)) == []
+        assert state.pool.release_returning(t) == [1]
 
     def test_unknown_cycle_mode_rejected(self, product_instance):
         with pytest.raises(ValueError):
@@ -315,21 +323,19 @@ def reference_scan(instance, jobs, cycle_delay_mode):
     Returns the decision log, the sorted ids released before each job, and
     the exception type with the index of the job that raised it, if any.
     """
-    workers = [w.copy() for w in instance.workers]
     rng = np.random.default_rng(instance.rng_seed)
     f, alpha = instance.f, instance.alpha
+    returns, consumed = {}, set()  # return time of each busy worker by id; ids of consumed ones
     log, releases = [], []
     for job_id, (x, now) in enumerate(jobs, start=1):
-        released = []
-        for w in workers:
-            if w.state is WorkerState.BUSY and w.return_time <= now:
-                w.release()
-                released.append(w.id)
-        releases.append(sorted(released))
+        released = sorted(wid for wid, t in returns.items() if t <= now)
+        for wid in released:
+            del returns[wid]
+        releases.append(released)
         best = None
         try:
-            for w in workers:
-                if w.available:
+            for w in instance.workers:
+                if w.id not in returns and w.id not in consumed:
                     value = eval_f(f, x, w.rate)
                     if value >= alpha and (best is None or (value, w.rate, w.id) < best[0]):
                         best = ((value, w.rate, w.id), w)
@@ -340,11 +346,11 @@ def reference_scan(instance, jobs, cycle_delay_mode):
             continue
         (value, _rate, _id), w = best
         if math.isinf(w.cycle_rate):
-            w.mark_assigned(None)
+            consumed.add(w.id)
         elif cycle_delay_mode == "deterministic":
-            w.mark_assigned(now + 1.0 / w.cycle_rate)
+            returns[w.id] = now + 1.0 / w.cycle_rate
         else:
-            w.mark_assigned(now + float(rng.exponential(1.0 / w.cycle_rate)))
+            returns[w.id] = now + float(rng.exponential(1.0 / w.cycle_rate))
         log.append(AssignmentRecord(job_id=job_id, threshold=alpha, worker_id=w.id, f_value=value))
     return log, releases, None
 
@@ -353,7 +359,7 @@ def engine_run(instance, jobs, cycle_delay_mode):
     state = PolicyState(instance, cycle_delay_mode=cycle_delay_mode)
     releases = []
     for job_id, (x, now) in enumerate(jobs, start=1):
-        releases.append(release_returning_workers(state, now))
+        releases.append(state.pool.release_returning(now))
         try:
             assign_next(state, x, now)
         except DomainError:
