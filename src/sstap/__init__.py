@@ -17,7 +17,6 @@ from .core import (
     FunctionKind,
     Instance,
     Interval,
-    Monotonicity,
     OrderCheck,
     OrderWitness,
     ThresholdFunction,

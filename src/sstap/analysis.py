@@ -18,14 +18,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Instance, Interval, Monotonicity, ThresholdFunction, eval_f
-from .errors import BadEpsilon, Infeasible, NotMonotone
+from .core import FunctionKind, Instance, Interval, ThresholdFunction, eval_f
+from .errors import BadEpsilon, BadSpec, Infeasible, NotMonotone
 from .policy import run_stream
 
 __all__ = [
     "BISECTION_TOL",
     "CENTER_MERGE_TOL",
-    "NORMALIZER_REL_TOL",
     "Side",
     "LoadBoundsVerdict",
     "LoadReport",
@@ -40,7 +39,6 @@ __all__ = [
 
 BISECTION_TOL = 1e-12
 CENTER_MERGE_TOL = 1e-9
-NORMALIZER_REL_TOL = 1e-9
 # Closed-form inversions and the bisection check must agree to this slack.
 _INVERSION_AGREEMENT_TOL = 1e-9
 
@@ -98,14 +96,14 @@ def feasible_extremes(
 ) -> tuple[float, float]:
     """Largest and smallest job values (u, v) with f(x, p) >= alpha on omega.
 
-    Requires declared monotonicity in x (NotMonotone otherwise) and a
-    nonempty feasible set (Infeasible otherwise). Interior boundaries come
-    from closed-form inversion and are verified against a bisection of the
-    threshold indicator.
+    Requires a kind monotone in x, product (rising) or ratio (falling);
+    NotMonotone is raised otherwise, and Infeasible when no job value is
+    feasible. Interior boundaries come from closed-form inversion and are
+    verified against a bisection of the threshold indicator.
     """
     if omega is None:
         omega = f.domain
-    if f.monotonicity_in_x is Monotonicity.INCREASING:
+    if f.kind is FunctionKind.PRODUCT:
         if not eval_f(f, omega.hi, p) >= alpha:
             raise Infeasible(f"f({omega.hi}, {p}) < {alpha}: no feasible job value")
         u = omega.hi
@@ -115,7 +113,7 @@ def feasible_extremes(
             v = f.job_boundary(alpha, p)
             _verify_inversion(f, alpha, p, omega, v)
         return u, v
-    if f.monotonicity_in_x is Monotonicity.DECREASING:
+    if f.kind is FunctionKind.RATIO:
         if not eval_f(f, omega.lo, p) >= alpha:
             raise Infeasible(f"f({omega.lo}, {p}) < {alpha}: no feasible job value")
         v = omega.lo
@@ -187,76 +185,22 @@ def verify_load_bounds(instance: Instance, job_values: Sequence[float]) -> LoadB
     return LoadBoundsResult(verdict, reward, l_jobs, report)
 
 
-def _gaussian_sum(centers: Sequence[float], weights: Sequence[float], sigma: float):
-    inv = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
-
-    def density(x: float) -> float:
-        total = 0.0
-        for c, w in zip(centers, weights):
-            t = (x - c) / sigma
-            total += w * inv * math.exp(-0.5 * t * t)
-        return total
-
-    return density
-
-
-def _adaptive_simpson(g, a: float, b: float, tol: float) -> float:
-    """Classic adaptive Simpson quadrature with absolute tolerance tol."""
-
-    def simpson(lo: float, hi: float, f_lo: float, f_mid: float, f_hi: float) -> float:
-        return (hi - lo) / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
-
-    def recurse(lo, hi, f_lo, f_mid, f_hi, whole, budget, depth):
-        mid = 0.5 * (lo + hi)
-        lm = 0.5 * (lo + mid)
-        rm = 0.5 * (mid + hi)
-        f_lm = g(lm)
-        f_rm = g(rm)
-        left = simpson(lo, mid, f_lo, f_lm, f_mid)
-        right = simpson(mid, hi, f_mid, f_rm, f_hi)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * budget:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(lo, mid, f_lo, f_lm, f_mid, left, budget / 2.0, depth - 1) + recurse(
-            mid, hi, f_mid, f_rm, f_hi, right, budget / 2.0, depth - 1
-        )
-
-    if a == b:
-        return 0.0
-    mid = 0.5 * (a + b)
-    f_a, f_mid, f_b = g(a), g(mid), g(b)
-    whole = simpson(a, b, f_a, f_mid, f_b)
-    return recurse(a, b, f_a, f_mid, f_b, whole, tol, 60)
-
-
 def _mixture_mass(
     centers: Sequence[float],
     weights: Sequence[float],
     sigma: float,
     omega: Interval,
-    rel_tol: float = NORMALIZER_REL_TOL,
 ) -> float:
-    """Integral over omega of the weighted Gaussian sum.
+    """Mass the weighted Gaussian sum leaves inside omega, in closed form.
 
-    The integration range is split at each center and a few bandwidths to
-    either side so narrow peaks cannot slip between quadrature nodes.
+    Each center lies strictly inside omega, so the two erf arguments have
+    opposite signs and their difference cannot cancel.
     """
-    density = _gaussian_sum(centers, weights, sigma)
-    points = {omega.lo, omega.hi}
-    for c in centers:
-        for offset in (0.0, sigma, 3.0 * sigma, 6.0 * sigma):
-            for candidate in (c - offset, c + offset):
-                if omega.lo < candidate < omega.hi:
-                    points.add(candidate)
-    knots = sorted(points)
-    rough = 0.0
-    for lo, hi in zip(knots, knots[1:]):
-        mid = 0.5 * (lo + hi)
-        rough += (hi - lo) / 6.0 * (density(lo) + 4.0 * density(mid) + density(hi))
-    budget = max(abs(rough), 1e-12) * rel_tol / max(len(knots) - 1, 1)
-    total = 0.0
-    for lo, hi in zip(knots, knots[1:]):
-        total += _adaptive_simpson(density, lo, hi, budget)
-    return total
+    scale = sigma * math.sqrt(2.0)
+    return math.fsum(
+        0.5 * w * (math.erf((omega.hi - c) / scale) - math.erf((omega.lo - c) / scale))
+        for c, w in zip(centers, weights)
+    )
 
 
 @dataclass(frozen=True)
@@ -297,13 +241,16 @@ class MixtureSpec:
     def density(self, x: float) -> float:
         if not self.omega.contains(x):
             return 0.0
-        return _gaussian_sum(self.centers, self.weights, self.sigma)(x) / self.normalizer
+        inv = 1.0 / (self.sigma * math.sqrt(2.0 * math.pi))
+        total = sum(w * math.exp(-0.5 * ((x - c) / self.sigma) ** 2) for c, w in zip(self.centers, self.weights))
+        return inv * total / self.normalizer
 
     def draw_with(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw truncated samples using a caller-owned generator.
 
         Picks a center by weight, adds a Gaussian deviate, and redraws the
-        deviate until it lands inside the domain.
+        deviate until it lands inside the domain. A mixture that leaves too
+        little mass inside the domain for that to finish raises BadSpec.
         """
         centers = np.asarray(self.centers)
         idx = rng.choice(len(centers), size=size, p=np.asarray(self.weights))
@@ -313,7 +260,7 @@ class MixtureSpec:
         while not inside.all():
             guard += 1
             if guard > 10000:
-                raise RuntimeError("rejection sampling failed to land inside the domain")
+                raise BadSpec("rejection sampling failed to land inside the domain")
             redraw = ~inside
             out[redraw] = centers[idx[redraw]] + self.sigma * rng.standard_normal(int(redraw.sum()))
             inside = (out >= self.omega.lo) & (out <= self.omega.hi)

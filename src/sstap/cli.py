@@ -360,6 +360,8 @@ def _run_check_order(config: RunConfig) -> tuple[dict[str, Any], dict[str, str]]
 def _run_analyze_load(config: RunConfig) -> tuple[dict[str, Any], dict[str, str]]:
     instance = _build_instance(config)
     jobs = _parse_jobs(_require(config.raw, "jobs"), config.seed)
+    if len(jobs) != len(instance.workers):
+        raise ConfigError("analyze-load needs exactly one job per worker")
     result = analysis.verify_load_bounds(instance, [value for value, _t in jobs])
     report: dict[str, Any] = {
         "verdict": result.verdict.value,

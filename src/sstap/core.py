@@ -26,7 +26,6 @@ from .errors import DomainError, MissingEntry
 __all__ = [
     "PROBE_GRID_POINTS",
     "FunctionKind",
-    "Monotonicity",
     "Interval",
     "ThresholdFunction",
     "OrderWitness",
@@ -49,12 +48,6 @@ class FunctionKind(Enum):
     PRODUCT = "product"
     RATIO = "ratio"
     TABULATED = "tabulated"
-
-
-class Monotonicity(Enum):
-    INCREASING = "increasing"
-    DECREASING = "decreasing"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -98,26 +91,21 @@ class ThresholdFunction:
     its domain must not extend below zero, otherwise the worker ranking
     would flip sign with x. ``RATIO`` is f = p / x, decreasing in x, and
     requires a strictly positive domain. ``TABULATED`` is a finite map
-    from (job value, rate) pairs to values with no declared monotonicity;
+    from (job value, rate) pairs to values, not assumed monotone in x;
     it is matched by exact float equality of the pair.
     """
 
     kind: FunctionKind
     domain: Interval
-    monotonicity_in_x: Monotonicity
     table: Mapping[tuple[float, float], float] | None = None
 
     def __post_init__(self) -> None:
         if self.kind is FunctionKind.PRODUCT:
-            if self.monotonicity_in_x is not Monotonicity.INCREASING:
-                raise ValueError("product kind is increasing in x; monotonicity must not be overridden")
             if self.domain.lo < 0.0:
                 raise ValueError("product kind requires a nonnegative domain")
             if self.table is not None:
                 raise ValueError("table is only meaningful for the tabulated kind")
         elif self.kind is FunctionKind.RATIO:
-            if self.monotonicity_in_x is not Monotonicity.DECREASING:
-                raise ValueError("ratio kind is decreasing in x; monotonicity must not be overridden")
             if self.domain.lo <= 0.0:
                 raise ValueError("ratio kind requires a strictly positive domain")
             if self.table is not None:
@@ -125,8 +113,6 @@ class ThresholdFunction:
         else:
             if not self.table:
                 raise ValueError("tabulated kind requires a nonempty table")
-            if self.monotonicity_in_x is not Monotonicity.UNKNOWN:
-                raise ValueError("tabulated kind has no declared monotonicity in x")
             for (x, p), value in self.table.items():
                 if not (math.isfinite(x) and math.isfinite(p) and math.isfinite(value)):
                     raise ValueError("table entries must be finite")
@@ -135,11 +121,11 @@ class ThresholdFunction:
 
     @classmethod
     def product(cls, domain: Interval = Interval(0.0, 1.0)) -> "ThresholdFunction":
-        return cls(FunctionKind.PRODUCT, domain, Monotonicity.INCREASING)
+        return cls(FunctionKind.PRODUCT, domain)
 
     @classmethod
     def ratio(cls, domain: Interval) -> "ThresholdFunction":
-        return cls(FunctionKind.RATIO, domain, Monotonicity.DECREASING)
+        return cls(FunctionKind.RATIO, domain)
 
     @classmethod
     def tabulated(
@@ -152,7 +138,7 @@ class ThresholdFunction:
         if domain is None:
             xs = [x for (x, _p) in table]
             domain = Interval(min(xs), max(xs))
-        return cls(FunctionKind.TABULATED, domain, Monotonicity.UNKNOWN, dict(table))
+        return cls(FunctionKind.TABULATED, domain, dict(table))
 
     def job_values(self) -> list[float]:
         """Distinct job values a tabulated function is defined on."""

@@ -52,7 +52,7 @@ class Infeasible(SstapError):
 
 
 class NotMonotone(SstapError):
-    """Feasible extremes require a function with declared monotonicity in x."""
+    """Feasible extremes require a function whose kind is monotone in x."""
 
 
 class BadEpsilon(SstapError):

@@ -9,6 +9,7 @@ import pytest
 
 from sstap import (
     BadEpsilon,
+    BadSpec,
     Infeasible,
     Instance,
     Interval,
@@ -27,14 +28,20 @@ from sstap import (
 from tests.conftest import PRODUCT_ALPHA, PRODUCT_JOBS, PRODUCT_RATES, make_workers
 
 
-def erf_mass(centers, weights, sigma, omega):
-    """Closed-form truncated mass of a Gaussian sum, for cross-checking."""
+def simpson_mass(centers, weights, sigma, omega, nodes=20_001):
+    """Truncated mass of a Gaussian sum by composite Simpson, for cross-checking.
+
+    Each center's density is integrated over [c - 12 sigma, c + 12 sigma]
+    clipped to omega; the mass beyond 12 bandwidths is below 1e-32.
+    """
     total = 0.0
-    root2 = math.sqrt(2.0)
     for c, w in zip(centers, weights):
-        hi = 0.5 * (1.0 + math.erf((omega.hi - c) / (sigma * root2)))
-        lo = 0.5 * (1.0 + math.erf((omega.lo - c) / (sigma * root2)))
-        total += w * (hi - lo)
+        lo = max(omega.lo, c - 12.0 * sigma)
+        hi = min(omega.hi, c + 12.0 * sigma)
+        t = (np.linspace(lo, hi, nodes) - c) / sigma
+        ys = np.exp(-0.5 * t * t) / (sigma * math.sqrt(2.0 * math.pi))
+        h = (hi - lo) / (nodes - 1)
+        total += w * h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum())
     return total
 
 
@@ -181,8 +188,8 @@ class TestMixtureConstruction:
         spec = build_reward_maximizing_mixture(
             [1.0], Side.UPPER, sigma=1e-4, omega=omega, epsilon=1e-6
         )
-        expected = erf_mass(spec.centers, spec.weights, spec.sigma, omega)
-        assert spec.normalizer == pytest.approx(expected, rel=5e-9)
+        expected = simpson_mass(spec.centers, spec.weights, spec.sigma, omega)
+        assert spec.normalizer == pytest.approx(expected, rel=1e-12)
         # the center sits 0.01 bandwidths inside, so barely half the mass stays
         assert spec.normalizer == pytest.approx(0.503989356, rel=1e-6)
 
@@ -197,8 +204,8 @@ class TestMixtureConstruction:
         )
         assert spec.weights == (0.25, 0.25, 0.25, 0.25)
         assert abs(spec.normalizer - 1.0) <= 1e-6
-        expected = erf_mass(spec.centers, spec.weights, spec.sigma, omega)
-        assert spec.normalizer == pytest.approx(expected, rel=5e-9)
+        expected = simpson_mass(spec.centers, spec.weights, spec.sigma, omega)
+        assert spec.normalizer == pytest.approx(expected, rel=1e-12)
 
     def test_default_epsilon_scales_with_width(self):
         spec = build_reward_maximizing_mixture(
@@ -269,8 +276,8 @@ class TestMixtureConstruction:
             spec = build_reward_maximizing_mixture(
                 extremes, Side.UPPER, sigma=sigma, omega=omega, epsilon=1e-7
             )
-            expected = erf_mass(spec.centers, spec.weights, spec.sigma, omega)
-            assert spec.normalizer == pytest.approx(expected, rel=5e-9)
+            expected = simpson_mass(spec.centers, spec.weights, spec.sigma, omega)
+            assert spec.normalizer == pytest.approx(expected, rel=1e-12)
 
 
 class TestMixtureSampling:
@@ -287,6 +294,12 @@ class TestMixtureSampling:
     def test_draws_stay_inside_domain(self, lower_spec):
         draws = lower_spec.draw_with(np.random.default_rng(5), 20_000)
         assert draws.min() >= 0.0 and draws.max() <= 1.0
+
+    def test_mass_too_thin_to_sample_raises_bad_spec(self):
+        # about 4e-4 of each draw lands inside the domain
+        spec = MixtureSpec(centers=(0.5,), weights=(1.0,), sigma=1000.0, omega=Interval(0.0, 1.0))
+        with pytest.raises(BadSpec, match="rejection sampling"):
+            spec.draw_with(np.random.default_rng(0), 1000)
 
     def test_per_center_frequencies_within_binomial_bands(self, lower_spec):
         n = 100_000

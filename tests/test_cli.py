@@ -401,6 +401,12 @@ class TestDsstapMode:
         }
         assert run_cli(tmp_path, payload) == 3
 
+    def test_mixture_too_wide_to_sample_exits_3(self, tmp_path, capsys):
+        payload = {**with_mixture(centers=[0.5], sigma=1000), "samples": 1000}
+        assert run_cli(tmp_path, payload) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_too_few_samples_exits_2(self, tmp_path):
         payload = {
             "mode": "dsstap",
@@ -522,6 +528,8 @@ class TestExitCodeContract:
             {"mode": "figure1", "figure1": 5},
             {**GOLDEN_SIMULATE, "jobs": {"values": [[0.5, 0.0], [0.6, math.inf]]}},
             {**TestMultilevelMode.PAYLOAD, "jobs": {"values": [[0.5, math.inf]]}},
+            {**GOLDEN_SIMULATE, "mode": "analyze-load", "workers": GOLDEN_SIMULATE["workers"][:2],
+             "jobs": {"values": [0.9]}},
         ],
         ids=[
             "simulate-time-backwards",
@@ -545,6 +553,7 @@ class TestExitCodeContract:
             "figure1-not-an-object",
             "simulate-arrival-time-infinite",
             "multilevel-arrival-time-infinite",
+            "analyze-load-unequal-counts",
         ],
     )
     def test_exits_2_with_one_line(self, tmp_path, capsys, payload):

@@ -17,7 +17,6 @@ from sstap import (
     Instance,
     Interval,
     MissingEntry,
-    Monotonicity,
     ThresholdFunction,
     Worker,
     WorkerPool,
@@ -62,7 +61,7 @@ class TestInterval:
 class TestThresholdFunction:
     def test_product_evaluates_and_declares_monotonicity(self, product_f):
         assert product_f.kind is FunctionKind.PRODUCT
-        assert product_f.monotonicity_in_x is Monotonicity.INCREASING
+        assert eval_f(product_f, 0.25, 0.6) < eval_f(product_f, 0.5, 0.6)
         assert eval_f(product_f, 0.275, 0.6) == pytest.approx(0.165)
 
     def test_product_requires_nonnegative_domain(self):
@@ -71,7 +70,7 @@ class TestThresholdFunction:
 
     def test_ratio_evaluates_and_declares_monotonicity(self):
         f = ThresholdFunction.ratio(Interval(0.5, 2.0))
-        assert f.monotonicity_in_x is Monotonicity.DECREASING
+        assert eval_f(f, 1.0, 0.5) > eval_f(f, 2.0, 0.5)
         assert eval_f(f, 2.0, 0.5) == pytest.approx(0.25)
 
     def test_ratio_requires_positive_domain(self):
