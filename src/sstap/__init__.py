@@ -53,7 +53,6 @@ from .errors import (
 )
 from .multilevel import (
     FlatComparison,
-    LevelSpec,
     MultilevelResult,
     compare_flat,
     run_multilevel,

@@ -32,7 +32,6 @@ from .core import (
     default_probe_grid,
 )
 from .errors import ConfigError, SstapError
-from .multilevel import LevelSpec
 from .policy import CYCLE_DELAY_MODES, greedy_threshold_count, run_stream, verify_order_preserving
 
 __all__ = ["RunConfig", "run", "run_figure1", "main"]
@@ -48,6 +47,14 @@ FIGURE1_DEFAULTS = {
 }
 # Most thresholds one figure1 run may sweep: 200 times the default 50.
 FIGURE1_MAX_THRESHOLDS = 10_000
+# Most figure1 greedy searches, n x thresholds x trials: 10 times the defaults.
+FIGURE1_MAX_WORK = 10_000_000
+# Largest workers.count, jobs.count or figure1.n: 10 times the largest pool in perfbench/ladder.py.
+MAX_GENERATED = 100_000
+# Most Monte Carlo samples per dsstap cell (10 times the default), and most
+# cells x samples per run (about 10 times a 30 x 30 matrix at the default).
+MAX_MC_SAMPLES = 1_000_000
+DSSTAP_MAX_WORK = 1_000_000_000
 
 
 class RunConfig:
@@ -84,13 +91,13 @@ def _is_number(value: Any) -> bool:
 
 
 def _number(value: Any, field: str) -> float:
-    """A config value read as a float; booleans and non-numbers are config errors."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{field} must be a number, not a boolean")
+    """A JSON number read as a float; strings, booleans and other values are config errors."""
+    if not _is_number(value):
+        raise ConfigError(f"{field} must be a number, got {value!r}")
     try:
         return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{field} must be a number, got {value!r}") from None
+    except OverflowError:
+        raise ConfigError(f"{field} is too large for a float") from None
 
 
 def _list(value: Any, field: str) -> list:
@@ -110,14 +117,10 @@ def _require(raw: dict[str, Any], key: str) -> Any:
 
 
 def _parse_interval(value: Any, field: str) -> Interval:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(_is_number(v) for v in value)
-    ):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{field} must be a [lo, hi] pair")
     try:
-        return Interval(float(value[0]), float(value[1]))
+        return Interval(_number(value[0], field), _number(value[1], field))
     except ValueError as exc:
         raise ConfigError(f"{field}: {exc}") from exc
 
@@ -146,8 +149,6 @@ def _parse_function(value: Any, field: str = "function") -> ThresholdFunction:
             return ThresholdFunction.tabulated(
                 table, _parse_interval(domain, f"{field}.domain") if domain else None
             )
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"{field}: {exc}") from exc
     raise ConfigError(f"{field}.kind must be product, ratio, or tabulated")
@@ -157,8 +158,8 @@ def _parse_workers(value: Any, field: str = "workers") -> tuple[Worker, ...]:
     try:
         if isinstance(value, dict):
             count = _require(value, "count")
-            if not _is_integer(count) or count < 1:
-                raise ConfigError(f"{field}.count must be a positive integer")
+            if not _is_integer(count) or not 1 <= count <= MAX_GENERATED:
+                raise ConfigError(f"{field}.count must be an integer in [1, {MAX_GENERATED}]")
             scheme = value.get("scheme", "linear")
             if scheme != "linear":
                 raise ConfigError(f"{field}.scheme must be 'linear'")
@@ -180,8 +181,6 @@ def _parse_workers(value: Any, field: str = "workers") -> tuple[Worker, ...]:
                     )
                 )
             return tuple(workers)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"{field}: {exc}") from exc
     raise ConfigError(f"{field} must be a list of workers or a generator object")
@@ -197,11 +196,10 @@ def _parse_jobs(value: Any, seed: int, field: str = "jobs") -> list[tuple[float,
         jobs: list[tuple[float, float]] = []
         for entry in entries:
             if _is_number(entry):
-                jobs.append((float(entry), 0.0))
-            elif isinstance(entry, (list, tuple)) and len(entry) == 2:
-                jobs.append((_number(entry[0], f"{field}.values"), _number(entry[1], f"{field}.values")))
-            else:
+                entry = (entry, 0.0)
+            elif not (isinstance(entry, (list, tuple)) and len(entry) == 2):
                 raise ConfigError(f"{field}.values entries must be numbers or [value, time] pairs")
+            jobs.append((_number(entry[0], f"{field}.values"), _number(entry[1], f"{field}.values")))
         previous = 0.0
         for _value, arrival_time in jobs:
             if not arrival_time >= previous:
@@ -212,8 +210,8 @@ def _parse_jobs(value: Any, seed: int, field: str = "jobs") -> list[tuple[float,
         return jobs
     if "distribution" in value:
         count = value.get("count")
-        if not _is_integer(count) or count < 1:
-            raise ConfigError(f"{field}.count must be a positive integer")
+        if not _is_integer(count) or not 1 <= count <= MAX_GENERATED:
+            raise ConfigError(f"{field}.count must be an integer in [1, {MAX_GENERATED}]")
         spec = _parse_distribution(value["distribution"], f"{field}.distribution")
         rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
         return [(float(v), 0.0) for v in spec.sample(rng, count)]
@@ -242,31 +240,29 @@ def _parse_distribution(value: Any, field: str) -> dsstap.DistributionSpec:
                 omega=omega,
             )
             return dsstap.DistributionSpec.gaussian_mixture(spec)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"{field}: {exc}") from exc
     raise ConfigError(f"{field}.kind must be uniform, point-mass, empirical, or gaussian-mixture")
 
 
-def _parse_alpha(raw: dict[str, Any]) -> float:
-    alpha = _require(raw, "alpha")
-    if not _is_number(alpha) or not math.isfinite(alpha):
-        raise ConfigError("alpha must be a finite number")
-    return float(alpha)
+def _parse_alpha(raw: dict[str, Any], field: str = "alpha") -> float:
+    alpha = _number(_require(raw, "alpha"), field)
+    if not math.isfinite(alpha):
+        raise ConfigError(f"{field} must be a finite number")
+    return alpha
 
 
-def _build_instance(config: RunConfig) -> Instance:
-    raw = config.raw
+def _build_instance(raw: dict[str, Any], seed: int = 0, field: str = "") -> Instance:
+    """An instance from the alpha, function and workers of ``raw``; ``field`` prefixes its errors."""
     try:
         return Instance(
-            alpha=_parse_alpha(raw),
-            f=_parse_function(_require(raw, "function")),
-            workers=_parse_workers(_require(raw, "workers")),
-            rng_seed=config.seed,
+            alpha=_parse_alpha(raw, f"{field}alpha"),
+            f=_parse_function(_require(raw, "function"), f"{field}function"),
+            workers=_parse_workers(_require(raw, "workers"), f"{field}workers"),
+            rng_seed=seed,
         )
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{field}{exc}") from exc
 
 
 def _jsonify(value: Any) -> Any:
@@ -310,7 +306,7 @@ def _records_csv(records, jobs) -> str:
 
 
 def _run_simulate(config: RunConfig) -> tuple[dict[str, Any], dict[str, str]]:
-    instance = _build_instance(config)
+    instance = _build_instance(config.raw, config.seed)
     jobs = _parse_jobs(_require(config.raw, "jobs"), config.seed)
     mode = config.raw.get("cycle_delay_mode", "deterministic")
     if mode not in CYCLE_DELAY_MODES:
@@ -358,7 +354,7 @@ def _run_check_order(config: RunConfig) -> tuple[dict[str, Any], dict[str, str]]
 
 
 def _run_analyze_load(config: RunConfig) -> tuple[dict[str, Any], dict[str, str]]:
-    instance = _build_instance(config)
+    instance = _build_instance(config.raw, config.seed)
     jobs = _parse_jobs(_require(config.raw, "jobs"), config.seed)
     if len(jobs) != len(instance.workers):
         raise ConfigError("analyze-load needs exactly one job per worker")
@@ -385,31 +381,20 @@ def _run_multilevel(config: RunConfig) -> tuple[dict[str, Any], dict[str, str]]:
     for position, entry in enumerate(levels_raw, start=1):
         if not isinstance(entry, dict):
             raise ConfigError("levels entries must be objects")
-        try:
-            levels.append(
-                LevelSpec(
-                    index=position,
-                    workers=_parse_workers(_require(entry, "workers"), f"levels[{position}].workers"),
-                    alpha=_number(_require(entry, "alpha"), f"levels[{position}].alpha"),
-                    f=_parse_function(_require(entry, "function"), f"levels[{position}].function"),
-                )
-            )
-        except ValueError as exc:
-            raise ConfigError(f"levels[{position}]: {exc}") from exc
+        level = _build_instance(entry, field=f"levels[{position}].")
+        if not level.workers:
+            raise ConfigError(f"levels[{position}].workers must not be empty")
+        levels.append(level)
     ids = [worker.id for level in levels for worker in level.workers]
     if len(set(ids)) != len(ids):
         raise ConfigError("worker ids must be unique across levels")
     jobs = _parse_jobs(_require(raw, "jobs"), config.seed)
     if raw.get("compare_flat", False):
-        comparison = multilevel.compare_flat(
-            levels, jobs, force_non_order_preserving=config.force, rng_seed=config.seed
-        )
+        comparison = multilevel.compare_flat(levels, jobs, force_non_order_preserving=config.force)
         result = comparison.leveled
         extra = {"flat": comparison.flat, "gap": comparison.gap}
     else:
-        result = multilevel.run_multilevel(
-            levels, jobs, force_non_order_preserving=config.force, rng_seed=config.seed
-        )
+        result = multilevel.run_multilevel(levels, jobs, force_non_order_preserving=config.force)
         extra = {}
     report = {
         "rewards": list(result.rewards),
@@ -428,12 +413,14 @@ def _run_dsstap(config: RunConfig) -> tuple[dict[str, Any], dict[str, str]]:
     f = _parse_function(_require(raw, "function"))
     alpha = _parse_alpha(raw)
     samples = raw.get("samples", dsstap.DEFAULT_MC_SAMPLES)
-    if not _is_integer(samples) or samples < dsstap.MIN_MC_SAMPLES:
-        raise ConfigError(f"samples must be an integer >= {dsstap.MIN_MC_SAMPLES}")
-    rate_specs = [
-        _parse_distribution(entry, f"rate_specs[{i}]")
-        for i, entry in enumerate(_list(_require(raw, "rate_specs"), "rate_specs"))
-    ]
+    if not _is_integer(samples) or not dsstap.MIN_MC_SAMPLES <= samples <= MAX_MC_SAMPLES:
+        raise ConfigError(f"samples must be an integer in [{dsstap.MIN_MC_SAMPLES}, {MAX_MC_SAMPLES}]")
+    rate_entries = _list(_require(raw, "rate_specs"), "rate_specs")
+    # case I has one cell per rate spec, case II one per job spec and rate spec
+    job_entries = _list(_require(raw, "job_specs"), "job_specs") if case == "II" else [None]
+    if len(job_entries) * len(rate_entries) * samples > DSSTAP_MAX_WORK:
+        raise ConfigError(f"dsstap cells x samples must be at most {DSSTAP_MAX_WORK}")
+    rate_specs = [_parse_distribution(entry, f"rate_specs[{i}]") for i, entry in enumerate(rate_entries)]
     if case == "I":
         job_spec = _parse_distribution(_require(raw, "job_spec"), "job_spec")
         value, std_error = dsstap.expected_reward_case1(
@@ -441,10 +428,7 @@ def _run_dsstap(config: RunConfig) -> tuple[dict[str, Any], dict[str, str]]:
         )
         return {"case": "I", "value": value, "std_error": std_error}, {}
     if case == "II":
-        job_specs = [
-            _parse_distribution(entry, f"job_specs[{i}]")
-            for i, entry in enumerate(_list(_require(raw, "job_specs"), "job_specs"))
-        ]
+        job_specs = [_parse_distribution(entry, f"job_specs[{i}]") for i, entry in enumerate(job_entries)]
         try:
             matrix = dsstap.estimate_prob_matrix(job_specs, rate_specs, f, alpha, mc=(samples, config.seed))
         except ValueError as exc:
@@ -537,6 +521,10 @@ def _run_figure1(config: RunConfig) -> tuple[dict[str, Any], dict[str, str]]:
             raise ConfigError("figure1.alphas must be finite")
     else:
         raise ConfigError("figure1.alphas must be a list or a start/stop/step object")
+    if n > MAX_GENERATED:
+        raise ConfigError(f"figure1.n must be at most {MAX_GENERATED}")
+    if n * len(alphas) * trials > FIGURE1_MAX_WORK:
+        raise ConfigError(f"figure1 n x thresholds x trials must be at most {FIGURE1_MAX_WORK}")
     domain = _parse_interval(raw["domain"], "figure1.domain")
     rows = run_figure1(n, alphas, trials, config.seed, domain)
     report = {"n": n, "trials": trials, "rows": rows}
@@ -600,7 +588,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             raw = json.loads(Path(args.config).read_text())
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past the parser's digit limit
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if args.mode:
             raw["mode"] = args.mode

@@ -23,7 +23,6 @@ from sstap import (
     FeasibilityGraph,
     Instance,
     Interval,
-    LevelSpec,
     LoadBoundsVerdict,
     Side,
     ThresholdFunction,
@@ -293,23 +292,23 @@ def test_07_leveled_pools_never_beat_flat_pool(emit, product_f):
         alpha = float(rng.uniform(0.05, 0.6))
         next_id = 1
         levels = []
-        for index in range(1, k + 1):
+        for _ in range(k):
             size = int(rng.integers(1, 4))
             workers = tuple(
                 Worker(id=next_id + i, rate=float(rng.uniform(0.05, 1.0)))
                 for i in range(size)
             )
             next_id += size
-            levels.append(LevelSpec(index=index, workers=workers, alpha=alpha, f=product_f))
+            levels.append(Instance(alpha=alpha, f=product_f, workers=workers))
         jobs = [(float(rng.uniform(0.0, 1.0)), 0.0) for _ in range(int(rng.integers(1, 10)))]
         if compare_flat(levels, jobs).gap >= 0:
             nonnegative += 1
     gap_levels = [
-        LevelSpec(index=1, workers=(Worker(id=1, rate=0.9),), alpha=0.42, f=product_f),
-        LevelSpec(index=2, workers=(Worker(id=2, rate=0.5),), alpha=0.42, f=product_f),
+        Instance(alpha=0.42, f=product_f, workers=(Worker(id=1, rate=0.9),)),
+        Instance(alpha=0.42, f=product_f, workers=(Worker(id=2, rate=0.5),)),
     ]
     committed = compare_flat(gap_levels, [(0.85, 0.0), (0.5, 0.0)])
-    strict = (committed.sum_leveled, committed.flat) == (1, 2)
+    strict = (committed.leveled.total, committed.flat) == (1, 2)
     ok = nonnegative == trials and strict
     finish(
         emit,
@@ -317,7 +316,7 @@ def test_07_leveled_pools_never_beat_flat_pool(emit, product_f):
         "flat pool dominates prioritized levels",
         ok,
         f"{nonnegative}/{trials} gaps nonnegative; committed instance "
-        f"{committed.sum_leveled} leveled vs {committed.flat} flat",
+        f"{committed.leveled.total} leveled vs {committed.flat} flat",
         start,
         30.0,
     )

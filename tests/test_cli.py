@@ -67,6 +67,10 @@ def with_mixture(**changes):
     return {**MIXTURE_CASE1, "job_spec": {**MIXTURE_CASE1["job_spec"], **changes}}
 
 
+# 401 digits: a JSON integer that float() cannot hold.
+HUGE = 10**400
+
+
 def with_alpha_range(**changes):
     alphas = {"start": 0.5, "stop": 1.0, "step": 0.25, **changes}
     return {"mode": "figure1", "figure1": {"n": 5, "alphas": alphas, "trials": 2}}
@@ -135,6 +139,13 @@ class TestConfigValidation:
         payload = {**GOLDEN_SIMULATE, "function": {"kind": "product", "domain": [1, 0]}}
         assert run_cli(tmp_path, payload) == 2
         assert "function.domain" in capsys.readouterr().err
+
+    def test_integer_past_the_json_digit_limit_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"mode": "simulate", "seed": ' + "9" * 5000 + "}")
+        assert cli.main(["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
     def test_bad_worker_rate_exits_2(self, tmp_path):
         payload = {**GOLDEN_SIMULATE, "workers": [{"id": 1, "rate": 2.0}]}
@@ -495,9 +506,9 @@ class TestFigure1Mode:
         assert lines[1].startswith("1.0,")
 
 
-def _shared_id_levels():
+def _with_level(position, **changes):
     levels = [dict(level) for level in TestMultilevelMode.PAYLOAD["levels"]]
-    levels[1]["workers"] = [{"id": 1, "rate": 0.5}]
+    levels[position].update(changes)
     return {**TestMultilevelMode.PAYLOAD, "levels": levels}
 
 
@@ -509,7 +520,7 @@ class TestExitCodeContract:
         [
             {**GOLDEN_SIMULATE, "jobs": {"values": [[0.9, 1.0], [0.9, 0.5]]}},
             {**TestMultilevelMode.PAYLOAD, "jobs": {"values": [[0.85, 2.0], [0.5, 1.0]]}},
-            _shared_id_levels(),
+            _with_level(1, workers=[{"id": 1, "rate": 0.5}]),
             {"mode": "figure1", "figure1": {"n": 5, "alphas": [1.0], "trials": 2, "domain": [0.0, 1.0]}},
             {**GOLDEN_SIMULATE, "alpha": True},
             {**GOLDEN_SIMULATE, "seed": True},
@@ -530,6 +541,14 @@ class TestExitCodeContract:
             {**TestMultilevelMode.PAYLOAD, "jobs": {"values": [[0.5, math.inf]]}},
             {**GOLDEN_SIMULATE, "mode": "analyze-load", "workers": GOLDEN_SIMULATE["workers"][:2],
              "jobs": {"values": [0.9]}},
+            {**GOLDEN_SIMULATE, "workers": [{"id": 1, "rate": "0.9"}]},
+            {**GOLDEN_SIMULATE, "jobs": {"values": [["0.9", "1"]]}},
+            _with_level(1, alpha="0.42"),
+            _with_level(0, workers=[]),
+            {**GOLDEN_SIMULATE, "alpha": HUGE},
+            {**GOLDEN_SIMULATE, "workers": [{"id": 1, "rate": HUGE}]},
+            {**GOLDEN_SIMULATE, "jobs": {"values": [HUGE]}},
+            {**GOLDEN_SIMULATE, "function": {"kind": "product", "domain": [0, HUGE]}},
         ],
         ids=[
             "simulate-time-backwards",
@@ -554,6 +573,14 @@ class TestExitCodeContract:
             "simulate-arrival-time-infinite",
             "multilevel-arrival-time-infinite",
             "analyze-load-unequal-counts",
+            "worker-rate-string",
+            "job-pair-strings",
+            "level-alpha-string",
+            "level-without-workers",
+            "alpha-huge-integer",
+            "worker-rate-huge-integer",
+            "job-value-huge-integer",
+            "domain-endpoint-huge-integer",
         ],
     )
     def test_exits_2_with_one_line(self, tmp_path, capsys, payload):
@@ -568,8 +595,27 @@ class TestExitCodeContract:
             with_mixture(centers=[math.nan]),
             with_mixture(centers=[0.4, 0.6], weights=[math.nan, 1.0]),
             with_alpha_range(step=1e-300),
+            {**GOLDEN_SIMULATE, "workers": {"count": 10**9}},
+            {**GOLDEN_SIMULATE, "jobs": {"distribution": {"kind": "uniform", "a": 0.0, "b": 1.0}, "count": 10**10}},
+            {"mode": "figure1", "figure1": {"n": 10**8}},
+            {"mode": "figure1", "figure1": {"trials": 10**9}},
+            {**MIXTURE_CASE1, "samples": 10**10},
+            {**MIXTURE_CASE1, "case": "II", "samples": cli.MAX_MC_SAMPLES,
+             "job_specs": [{"kind": "point-mass", "c": 0.5}] * 40,
+             "rate_specs": [{"kind": "point-mass", "c": 0.5}] * 40},
         ],
-        ids=["mixture-sigma-nan", "mixture-center-nan", "mixture-weight-nan", "figure1-step-tiny"],
+        ids=[
+            "mixture-sigma-nan",
+            "mixture-center-nan",
+            "mixture-weight-nan",
+            "figure1-step-tiny",
+            "worker-count-huge",
+            "job-count-huge",
+            "figure1-n-huge",
+            "figure1-trials-huge",
+            "dsstap-samples-huge",
+            "dsstap-cells-times-samples",
+        ],
     )
     def test_unbounded_work_is_refused_within_a_second(self, tmp_path, capsys, payload):
         with time_limit(1.0):
