@@ -12,6 +12,7 @@ probability approaching one as the bandwidth shrinks.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -23,7 +24,6 @@ from .errors import BadEpsilon, BadSpec, Infeasible, NotMonotone
 from .policy import run_stream
 
 __all__ = [
-    "BISECTION_TOL",
     "CENTER_MERGE_TOL",
     "Side",
     "LoadBoundsVerdict",
@@ -37,10 +37,7 @@ __all__ = [
     "build_reward_maximizing_mixture",
 ]
 
-BISECTION_TOL = 1e-12
 CENTER_MERGE_TOL = 1e-9
-# Closed-form inversions and the bisection check must agree to this slack.
-_INVERSION_AGREEMENT_TOL = 1e-9
 
 
 class Side(Enum):
@@ -59,33 +56,37 @@ def job_load(values: Sequence[float]) -> float:
     return math.sqrt(math.fsum(v * v for v in values))
 
 
-def _bisect_switch(f: ThresholdFunction, alpha: float, p: float, lo: float, hi: float) -> float:
-    """Locate the indicator switch point of f(x, p) >= alpha on [lo, hi].
+def _ordinal(x: float) -> int:
+    """Rank of a nonnegative float in float order (its bit pattern read as an integer)."""
+    return struct.unpack("<q", struct.pack("<d", x + 0.0))[0]
 
-    The indicator must differ at the two endpoints; the bracket is halved
-    until it is narrower than BISECTION_TOL and the midpoint is returned.
+
+def _from_ordinal(k: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", k))[0]
+
+
+def _interior_edge(f: ThresholdFunction, alpha: float, p: float, inner: float, outer: float) -> float:
+    """The float nearest inner with f(x, p) >= alpha, where f fails at inner and holds at outer.
+
+    f rounds monotonically in x, so the passing floats run from the edge to
+    outer. The search starts at the closed-form boundary and gallops one,
+    two, four floats at a time until f brackets the edge; a probe outside
+    the bracket is replaced by the bracket's midpoint. The closed form is usually
+    within a few floats of the edge, but where f(x, p) rounds to a
+    subnormal it can be 10^12 floats off.
     """
-    pass_lo = eval_f(f, lo, p) >= alpha
-    pass_hi = eval_f(f, hi, p) >= alpha
-    if pass_lo == pass_hi:
-        raise ValueError("bisection bracket does not straddle the threshold")
-    while hi - lo > BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if (eval_f(f, mid, p) >= alpha) == pass_lo:
-            lo = mid
+    sign = 1 if outer > inner else -1  # sign * ordinal rises from inner to outer
+    bad, good = sign * _ordinal(inner), sign * _ordinal(outer)
+    k, stride = sign * _ordinal(f.job_boundary(alpha, p)), 1
+    while good - bad > 1:
+        if not bad < k < good:
+            k = (bad + good) // 2
+        if eval_f(f, _from_ordinal(sign * k), p) >= alpha:
+            good, k = k, k - stride
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _verify_inversion(f: ThresholdFunction, alpha: float, p: float, omega: Interval, closed: float) -> None:
-    switch = _bisect_switch(f, alpha, p, omega.lo, omega.hi)
-    if abs(switch - closed) > _INVERSION_AGREEMENT_TOL:
-        raise RuntimeError(
-            f"closed-form boundary {closed} disagrees with bisection {switch} for p={p}, alpha={alpha}"
-        )
+            bad, k = k, k + stride
+        stride *= 2
+    return _from_ordinal(sign * good)
 
 
 def feasible_extremes(
@@ -98,32 +99,21 @@ def feasible_extremes(
 
     Requires a kind monotone in x, product (rising) or ratio (falling);
     NotMonotone is raised otherwise, and Infeasible when no job value is
-    feasible. Interior boundaries come from closed-form inversion and are
-    verified against a bisection of the threshold indicator.
+    feasible. Both are exact float extremes: f clears alpha at each, and
+    an extreme inside omega has a next float outward at which f fails.
     """
     if omega is None:
         omega = f.domain
     if f.kind is FunctionKind.PRODUCT:
-        if not eval_f(f, omega.hi, p) >= alpha:
-            raise Infeasible(f"f({omega.hi}, {p}) < {alpha}: no feasible job value")
-        u = omega.hi
-        if eval_f(f, omega.lo, p) >= alpha:
-            v = omega.lo
-        else:
-            v = f.job_boundary(alpha, p)
-            _verify_inversion(f, alpha, p, omega, v)
-        return u, v
-    if f.kind is FunctionKind.RATIO:
-        if not eval_f(f, omega.lo, p) >= alpha:
-            raise Infeasible(f"f({omega.lo}, {p}) < {alpha}: no feasible job value")
-        v = omega.lo
-        if eval_f(f, omega.hi, p) >= alpha:
-            u = omega.hi
-        else:
-            u = f.job_boundary(alpha, p)
-            _verify_inversion(f, alpha, p, omega, u)
-        return u, v
-    raise NotMonotone("feasible extremes require a function monotone in x")
+        inner, outer = omega.lo, omega.hi
+    elif f.kind is FunctionKind.RATIO:
+        inner, outer = omega.hi, omega.lo
+    else:
+        raise NotMonotone("feasible extremes require a function monotone in x")
+    if not eval_f(f, outer, p) >= alpha:
+        raise Infeasible(f"f({outer}, {p}) < {alpha}: no feasible job value")
+    edge = inner if eval_f(f, inner, p) >= alpha else _interior_edge(f, alpha, p, inner, outer)
+    return max(edge, outer), min(edge, outer)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ functions, order violations, unusable distribution specs).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -67,14 +68,14 @@ class RunConfig:
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {list(MODES)}, got {mode!r}")
         seed = raw.get("seed", 0)
-        if not _is_integer(seed):
-            raise ConfigError("seed must be an integer")
+        if not (_is_integer(seed) and seed >= 0):
+            raise ConfigError("seed must be a nonnegative integer")
         schema = raw.get("schema_version", SCHEMA_VERSION)
         if schema != SCHEMA_VERSION:
             raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
         self.mode: str = mode
         self.seed: int = seed
-        self.force: bool = bool(raw.get("force_non_order_preserving", False))
+        self.force = _flag(raw, "force_non_order_preserving")
         self.raw = dict(raw)
         self.raw["schema_version"] = SCHEMA_VERSION
         self.raw["seed"] = seed
@@ -88,6 +89,14 @@ def _is_integer(value: Any) -> bool:
 
 def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _flag(raw: dict[str, Any], key: str) -> bool:
+    """An optional JSON boolean, false when absent; any other value is a config error."""
+    value = raw.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
 def _number(value: Any, field: str) -> float:
@@ -342,14 +351,7 @@ def _run_check_order(config: RunConfig) -> tuple[dict[str, Any], dict[str, str]]
         result = check_order_preserving(f, probes, rates)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    witness = None
-    if result.witness is not None:
-        witness = {
-            "x_a": result.witness.x_a,
-            "x_b": result.witness.x_b,
-            "p_u": result.witness.p_u,
-            "p_v": result.witness.p_v,
-        }
+    witness = None if result.witness is None else dataclasses.asdict(result.witness)
     return {"preserving": result.preserving, "witness": witness}, {}
 
 
@@ -389,7 +391,7 @@ def _run_multilevel(config: RunConfig) -> tuple[dict[str, Any], dict[str, str]]:
     if len(set(ids)) != len(ids):
         raise ConfigError("worker ids must be unique across levels")
     jobs = _parse_jobs(_require(raw, "jobs"), config.seed)
-    if raw.get("compare_flat", False):
+    if _flag(raw, "compare_flat"):
         comparison = multilevel.compare_flat(levels, jobs, force_non_order_preserving=config.force)
         result = comparison.leveled
         extra = {"flat": comparison.flat, "gap": comparison.gap}
@@ -590,6 +592,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ConfigError(f"cannot read config: {exc}") from exc
         except ValueError as exc:  # JSONDecodeError, or an integer past the parser's digit limit
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError("config root must be a JSON object")
         if args.mode:
             raw["mode"] = args.mode
         if args.seed is not None:

@@ -8,8 +8,9 @@ variant are all expressed in terms of the types defined here.
 
 The greedy policy is only optimal when f is order-preserving: the ranking
 of f(x, p_j) across workers j must not depend on x (ties are allowed).
-``check_order_preserving`` probes that property on a finite set of job
-values and reports a concrete witness when it fails.
+Product and ratio kinds are order-preserving by construction;
+``check_order_preserving`` probes a tabulated function on a finite set of
+job values and reports a concrete witness when it fails.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 from .errors import DomainError, MissingEntry
 
 __all__ = [
-    "PROBE_GRID_POINTS",
     "FunctionKind",
     "Interval",
     "ThresholdFunction",
@@ -38,11 +38,6 @@ __all__ = [
     "default_probe_grid",
     "check_order_preserving",
 ]
-
-# Number of uniformly spaced probe points used when checking
-# order-preservation over a continuous domain.
-PROBE_GRID_POINTS = 64
-
 
 class FunctionKind(Enum):
     PRODUCT = "product"
@@ -72,15 +67,6 @@ class Interval:
 
     def strictly_contains(self, x: float) -> bool:
         return self.lo < x < self.hi
-
-    def grid(self, points: int = PROBE_GRID_POINTS) -> list[float]:
-        """Uniformly spaced probe points covering the interval."""
-        if points < 2:
-            return [self.lo]
-        step = self.width / (points - 1)
-        pts = [self.lo + i * step for i in range(points - 1)]
-        pts.append(self.hi)
-        return pts
 
 
 @dataclass(frozen=True)
@@ -223,16 +209,12 @@ class OrderCheck:
 
 
 def default_probe_grid(f: ThresholdFunction, observed: Iterable[float] = ()) -> list[float]:
-    """Probe set for order checks: observed job values plus a uniform grid.
+    """Probe set for order checks: observed job values plus the function's own points.
 
-    Tabulated functions are probed on their own job values instead, since
-    the grid would fall between table entries.
+    Tabulated functions are probed on their job values. Product and ratio
+    kinds are decided by their kind, so the two ends of the domain stand in.
     """
-    if f.kind is FunctionKind.TABULATED:
-        probes = set(f.job_values())
-        probes.update(observed)
-        return sorted(probes)
-    probes = set(f.domain.grid())
+    probes = set(f.job_values() if f.kind is FunctionKind.TABULATED else (f.domain.lo, f.domain.hi))
     probes.update(observed)
     return sorted(probes)
 
@@ -245,8 +227,10 @@ def check_order_preserving(
     """Check that the ranking of f(x, p) over rates is the same for every probe.
 
     Ties are allowed; only a strict reversal between two probes counts as a
-    violation. On failure the result carries one concrete witness, found by
-    scanning rate pairs in index order and probes in the given order.
+    violation. Every probe must lie in the domain. Product and ratio kinds
+    preserve order by construction; a tabulated function is scanned, and on
+    failure the result carries one concrete witness, found by scanning rate
+    pairs in index order and probes in the given order.
     """
     probes = list(probe_jobs)
     rs = list(rates)
@@ -254,23 +238,20 @@ def check_order_preserving(
         raise ValueError("probe_jobs must be nonempty")
     if not rs:
         raise ValueError("rates must be nonempty")
-    values = [[eval_f(f, x, p) for p in rs] for x in probes]
-    m = len(rs)
-    for u in range(m):
-        for v in range(u + 1, m):
-            below = None
-            above = None
-            for i in range(len(probes)):
-                d = values[i][u] - values[i][v]
-                if d < 0.0:
-                    if below is None:
-                        below = i
-                elif d > 0.0:
-                    if above is None:
-                        above = i
-                if below is not None and above is not None:
-                    a, b = (below, above) if below < above else (above, below)
-                    return OrderCheck(False, OrderWitness(probes[a], probes[b], rs[u], rs[v]))
+    if f.kind is not FunctionKind.TABULATED:
+        # x*p and p/x round monotonically in p on the validated domains, so no pair can flip
+        for x in probes:
+            eval_f(f, x, rs[0])
+        return OrderCheck(True)
+    values = np.array([[eval_f(f, x, p) for p in rs] for x in probes])
+    for u in range(len(rs) - 1):
+        # below[i, k]: probe i ranks rate u under rate u + 1 + k; above: over it
+        below, above = values[:, [u]] < values[:, u + 1 :], values[:, [u]] > values[:, u + 1 :]
+        flips = below.any(axis=0) & above.any(axis=0)
+        if flips.any():
+            k = int(flips.argmax())
+            i, j = sorted((int(below[:, k].argmax()), int(above[:, k].argmax())))
+            return OrderCheck(False, OrderWitness(probes[i], probes[j], rs[u], rs[u + 1 + k]))
     return OrderCheck(True)
 
 

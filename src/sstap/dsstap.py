@@ -69,8 +69,9 @@ class DistributionSpec:
 
     def __post_init__(self) -> None:
         if self.kind is DistKind.UNIFORM:
-            if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
-                raise ValueError("uniform requires finite bounds with a < b")
+            # a finite width also keeps the sampler's b - a from overflowing
+            if not (self.a < self.b and math.isfinite(self.b - self.a)):
+                raise ValueError("uniform requires a < b and a finite width b - a")
         elif self.kind is DistKind.POINT_MASS:
             if not math.isfinite(self.c):
                 raise ValueError("point mass requires a finite value")

@@ -17,11 +17,9 @@ counter ``greedy_threshold_count`` runs the same search over a plain
 sorted rate list. Tabulated functions say nothing through the rate order,
 so they scan every free worker.
 
-Product and ratio functions are order-preserving by construction on their
-validated domains (both are monotone in the rate for fixed x), so the
-policy trusts them without probing. Tabulated functions are checked once
-per run over their own table; a violation aborts the run unless the
-caller explicitly forces a heuristic run.
+Each run asks ``core.check_order_preserving`` once whether f is
+order-preserving; a violation aborts the run unless the caller explicitly
+forces a heuristic run.
 """
 
 from __future__ import annotations
@@ -133,16 +131,15 @@ class WorkerPool:
 def verify_order_preserving(instance: Instance) -> OrderCheck:
     """Order verdict for an instance's function against its own rates.
 
-    Product and ratio kinds are preserving by construction. Tabulated
-    kinds are probed on every job value of their table against the
-    instance's worker rates.
+    Tabulated kinds are probed on every job value of their table against
+    the instance's worker rates. ``check_order_preserving`` decides product
+    and ratio kinds by their kind alone, so one domain point and one rate
+    stand in for the probes and the workers.
     """
     f = instance.f
-    if f.kind in (FunctionKind.PRODUCT, FunctionKind.RATIO):
-        return OrderCheck(True)
-    probes = f.job_values()
-    rates = sorted({w.rate for w in instance.workers})
-    return check_order_preserving(f, probes, rates)
+    if f.kind is FunctionKind.TABULATED:
+        return check_order_preserving(f, f.job_values(), sorted({w.rate for w in instance.workers}))
+    return check_order_preserving(f, [f.domain.lo], [1.0])
 
 
 class PolicyState:

@@ -8,7 +8,9 @@ offline optimum (reward 3).
 
 from __future__ import annotations
 
+import contextlib
 import math
+import signal
 
 import pytest
 from hypothesis import strategies as st
@@ -100,3 +102,19 @@ def outer_reference(f, xs, ps):
     if outside:
         eval_f(f, outside[0], 0.5)
     return [[eval_f(f, x, p) for p in ps] for x in xs]
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the body once it has run for the given seconds."""
+
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

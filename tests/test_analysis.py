@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sstap import (
     BadEpsilon,
     BadSpec,
+    FunctionKind,
     Infeasible,
     Instance,
     Interval,
@@ -20,12 +23,13 @@ from sstap import (
     Side,
     ThresholdFunction,
     build_reward_maximizing_mixture,
+    eval_f,
     feasible_extremes,
     job_load,
     load_report,
     verify_load_bounds,
 )
-from tests.conftest import PRODUCT_ALPHA, PRODUCT_JOBS, PRODUCT_RATES, make_workers
+from tests.conftest import PRODUCT_ALPHA, PRODUCT_JOBS, PRODUCT_RATES, make_workers, time_limit
 
 
 def simpson_mass(centers, weights, sigma, omega, nodes=20_001):
@@ -45,12 +49,13 @@ def simpson_mass(centers, weights, sigma, omega, nodes=20_001):
     return total
 
 
-def bisect_indicator(predicate, lo, hi, tol=1e-13):
-    """Switch point of a monotone boolean predicate by pure bisection."""
+def bisect_indicator(predicate, lo, hi):
+    """Switch point of a monotone boolean predicate by pure bisection.
+
+    200 halvings narrow any bracket inside [0, 1e10] to two adjacent floats.
+    """
     true_lo = predicate(lo)
     for _ in range(200):
-        if hi - lo <= tol:
-            break
         mid = 0.5 * (lo + hi)
         if predicate(mid) == true_lo:
             lo = mid
@@ -106,28 +111,43 @@ class TestFeasibleExtremes:
         with pytest.raises(NotMonotone):
             feasible_extremes(tabulated_f, 0.1, 0.25)
 
-    def test_closed_form_matches_bisection_on_random_pairs(self):
-        rng = np.random.default_rng(2024)
-        product = ThresholdFunction.product(Interval(0.0, 1.0))
-        ratio = ThresholdFunction.ratio(Interval(0.01, 1.0))
-        for _ in range(1000):
-            p = float(rng.uniform(0.05, 1.0))
-            if rng.random() < 0.5:
-                switch = float(rng.uniform(0.05, 0.95))
-                alpha = switch * p
-                _, v = feasible_extremes(product, alpha, p)
-                independent = bisect_indicator(
-                    lambda x: x * p >= alpha, 0.0, 1.0
-                )
-                assert abs(v - independent) <= 1e-10
-            else:
-                switch = float(rng.uniform(0.05, 0.95))
-                alpha = p / switch
-                u, _ = feasible_extremes(ratio, alpha, p)
-                independent = bisect_indicator(
-                    lambda x: p / x >= alpha, 0.01, 1.0
-                )
-                assert abs(u - independent) <= 1e-10
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_closed_form_matches_bisection_on_random_pairs(self, data):
+        kind = data.draw(st.sampled_from(["product", "ratio"]))
+        lo = data.draw(st.floats(1e-3, 1e3))
+        hi = data.draw(st.floats(lo, 1e10))
+        if kind == "product" and data.draw(st.booleans()):
+            lo = 0.0
+        f = ThresholdFunction.product(Interval(lo, hi)) if kind == "product" else ThresholdFunction.ratio(Interval(lo, hi))
+        p = data.draw(st.floats(1e-3, 1.0))
+        switch = data.draw(st.floats(lo, hi))
+        alpha = max(switch * p if kind == "product" else p / switch, 1e-10)
+        with time_limit(1.0):
+            u, v = feasible_extremes(f, alpha, p)
+        assert eval_f(f, u, p) >= alpha and eval_f(f, v, p) >= alpha
+        edge, inner = (v, lo) if kind == "product" else (u, hi)
+        if edge != inner:
+            assert not eval_f(f, math.nextafter(edge, inner), p) >= alpha
+            independent = bisect_indicator(lambda x: eval_f(f, x, p) >= alpha, lo, hi)
+            assert abs(edge - independent) <= 4 * math.ulp(edge)
+
+    @pytest.mark.parametrize(
+        "f,alpha,p",
+        [
+            (ThresholdFunction.product(Interval(0.0, 1.0)), 1e-320, 1e-300),
+            (ThresholdFunction.ratio(Interval(1.0, 1e300)), 1e-320, 1e-300),
+            (ThresholdFunction.ratio(Interval(1.0, 1e300)), 1e-310, 1e-300),
+        ],
+        ids=["product", "ratio", "ratio-partly-subnormal"],
+    )
+    def test_edge_is_exact_where_f_rounds_to_subnormals(self, f, alpha, p):
+        # the closed form lies up to 10^12 floats from the edge here
+        with time_limit(1.0):
+            u, v = feasible_extremes(f, alpha, p)
+        edge, inner = (v, f.domain.lo) if f.kind is FunctionKind.PRODUCT else (u, f.domain.hi)
+        assert eval_f(f, edge, p) >= alpha
+        assert not eval_f(f, math.nextafter(edge, inner), p) >= alpha
 
 
 class TestLoadReport:

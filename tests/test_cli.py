@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
-import contextlib
+import copy
 import json
 import math
-import signal
+import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sstap import cli
-from tests.conftest import NON_ORDER_PRESERVING_TABLE
+from tests.conftest import NON_ORDER_PRESERVING_TABLE, time_limit
 
 GOLDEN_SIMULATE = {
     "mode": "simulate",
@@ -76,22 +80,6 @@ def with_alpha_range(**changes):
     return {"mode": "figure1", "figure1": {"n": 5, "alphas": alphas, "trials": 2}}
 
 
-@contextlib.contextmanager
-def time_limit(seconds):
-    """Raise TimeoutError in the body once it has run for the given seconds."""
-
-    def expire(_signum, _frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -131,6 +119,17 @@ class TestConfigValidation:
 
     def test_bad_seed_type_exits_2(self, tmp_path):
         assert run_cli(tmp_path, {**GOLDEN_SIMULATE, "seed": "zero"}) == 2
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        assert run_cli(tmp_path, GOLDEN_SIMULATE, "--seed", "-1") == 2
+        assert "nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag", [["--mode", "simulate"], ["--seed", "3"], ["--trials", "2"], ["--force-non-order-preserving"]]
+    )
+    def test_override_of_a_non_object_root_exits_2(self, tmp_path, capsys, flag):
+        assert run_cli(tmp_path, [1], *flag) == 2
+        assert "JSON object" in capsys.readouterr().err
 
     def test_bad_schema_version_exits_2(self, tmp_path):
         assert run_cli(tmp_path, {**GOLDEN_SIMULATE, "schema_version": 99}) == 2
@@ -292,6 +291,17 @@ class TestCheckOrderMode:
         assert report["preserving"] is False
         assert set(report["witness"]) == {"x_a", "x_b", "p_u", "p_v"}
 
+    def test_hundred_thousand_workers_within_two_seconds(self, tmp_path, capsys):
+        payload = {"mode": "check-order", "function": {"kind": "product"}, "workers": {"count": 100_000}}
+        with time_limit(2.0):
+            assert run_cli(tmp_path, payload) == 0
+        assert json.loads(capsys.readouterr().out)["preserving"] is True
+
+    def test_probe_outside_domain_exits_3(self, tmp_path, capsys):
+        payload = {**GOLDEN_SIMULATE, "mode": "check-order", "probes": [0.5, 1.5]}
+        assert run_cli(tmp_path, payload) == 3
+        assert "outside domain" in capsys.readouterr().err
+
 
 class TestAnalyzeLoadMode:
     def test_bounds_hold_report(self, tmp_path, capsys):
@@ -305,6 +315,30 @@ class TestAnalyzeLoadMode:
         assert report["verdict"] == "bounds-hold"
         assert report["l_min"] <= report["l_jobs"] <= report["l_max"]
         assert report["u"] == [1.0, 1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "alpha,kind,domain,rates,jobs",
+        [
+            (1e-10, "ratio", [0.001, 1e10], [0.3, 0.7], [1.0, 2.0]),
+            (1.2141868412068164, "product", [0, 1.4302060167127721], [0.8489593995678604], [1.4302060167127721]),
+            (0.0741117558755038, "ratio", [7.495148022718467, 10], [0.5554785805104759], [7.495148022718467]),
+            (1.2141868412068164, "product", [0, 10], [0.8489593995678604], [1.4302060167127721]),
+        ],
+        ids=["ratio-wide-domain", "product-boundary-past-domain", "ratio-boundary-past-domain",
+             "product-job-at-the-edge"],
+    )
+    def test_rounding_at_the_boundary_keeps_the_sandwich(self, tmp_path, capsys, alpha, kind, domain, rates, jobs):
+        payload = {
+            "mode": "analyze-load",
+            "alpha": alpha,
+            "function": {"kind": kind, "domain": domain},
+            "workers": [{"id": i, "rate": rate} for i, rate in enumerate(rates, start=1)],
+            "jobs": {"values": jobs},
+        }
+        assert run_cli(tmp_path, payload) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "bounds-hold"
+        assert report["l_min"] <= report["l_jobs"] <= report["l_max"]
 
     def test_vacuous_report(self, tmp_path, capsys):
         payload = {**GOLDEN_SIMULATE, "mode": "analyze-load"}
@@ -549,6 +583,13 @@ class TestExitCodeContract:
             {**GOLDEN_SIMULATE, "workers": [{"id": 1, "rate": HUGE}]},
             {**GOLDEN_SIMULATE, "jobs": {"values": [HUGE]}},
             {**GOLDEN_SIMULATE, "function": {"kind": "product", "domain": [0, HUGE]}},
+            {**GOLDEN_SIMULATE, "seed": -1, "jobs": {"distribution": {"kind": "uniform", "a": 0.0, "b": 1.0}, "count": 4}},
+            {**MIXTURE_CASE1, "seed": -1},
+            {"mode": "figure1", "figure1": {"n": 5, "alphas": [1.0], "trials": 2}, "seed": -1},
+            {**GOLDEN_SIMULATE, "function": {"kind": "product", "domain": [0, 1e308]},
+             "jobs": {"distribution": {"kind": "uniform", "a": -1e308, "b": 1e308}, "count": 4}},
+            {**GOLDEN_SIMULATE, "force_non_order_preserving": "no"},
+            {**TestMultilevelMode.PAYLOAD, "compare_flat": "false"},
         ],
         ids=[
             "simulate-time-backwards",
@@ -581,6 +622,12 @@ class TestExitCodeContract:
             "worker-rate-huge-integer",
             "job-value-huge-integer",
             "domain-endpoint-huge-integer",
+            "seed-negative-simulate",
+            "seed-negative-dsstap",
+            "seed-negative-figure1",
+            "uniform-width-overflows",
+            "force-flag-string",
+            "compare-flat-string",
         ],
     )
     def test_exits_2_with_one_line(self, tmp_path, capsys, payload):
@@ -622,6 +669,65 @@ class TestExitCodeContract:
             assert run_cli(tmp_path, payload) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def readme_examples():
+    """The README's example config of each mode, each cheap enough to run in well under 0.1 s.
+
+    ``check-order`` and ``analyze-load`` have no example of their own and run
+    the ``simulate`` one, as the README documents.
+    """
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    configs = {}
+    for block in re.findall(r"```json\n(.*?)```", text, flags=re.S):
+        try:
+            config = json.loads(block)
+        except json.JSONDecodeError:
+            continue
+        if isinstance(config, dict) and "mode" in config:
+            configs[config["mode"]] = config
+    for mode in ("check-order", "analyze-load"):
+        configs[mode] = {**configs["simulate"], "mode": mode}
+    configs["figure1"] = {**configs["figure1"], "figure1": {**configs["figure1"]["figure1"], "trials": 2}}
+    configs["dsstap"] = {**configs["dsstap"], "samples": 1000}
+    return configs
+
+
+def leaf_paths(value, path=()):
+    """Key and index paths to every scalar inside a JSON value."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from leaf_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from leaf_paths(item, path + (i,))
+    else:
+        yield path
+
+
+README_EXAMPLES = readme_examples()
+HOSTILE_LEAVES = [0, -1, 1e-300, 1e308, -1e308, math.nan, math.inf, -math.inf, HUGE, "text", True, None, [], {}]
+
+
+class TestExitCodeFuzz:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_mutated_readme_examples_exit_0_2_or_3(self, data):
+        """One or two leaves of a README example replaced by a hostile value:
+        the CLI exits 0, 2 or 3 in-process, never raises, and stays quick."""
+        config = copy.deepcopy(README_EXAMPLES[data.draw(st.sampled_from(sorted(README_EXAMPLES)))])
+        paths = list(leaf_paths(config))
+        for path in data.draw(st.lists(st.sampled_from(paths), min_size=1, max_size=2, unique=True)):
+            parent = config
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(HOSTILE_LEAVES)))
+        with tempfile.TemporaryDirectory() as work:
+            config_path = Path(work) / "config.json"
+            config_path.write_text(json.dumps(config))
+            with time_limit(2.0):
+                code = cli.main(["--config", str(config_path), "--out", str(Path(work) / "out")])
+        assert code in (0, 2, 3)
 
 
 class TestDeterminism:

@@ -17,6 +17,8 @@ from sstap import (
     Instance,
     Interval,
     MissingEntry,
+    OrderCheck,
+    OrderWitness,
     ThresholdFunction,
     Worker,
     WorkerPool,
@@ -51,11 +53,6 @@ class TestInterval:
     def test_bad_endpoints_rejected(self, lo, hi):
         with pytest.raises(ValueError):
             Interval(lo, hi)
-
-    def test_grid_spans_interval(self):
-        pts = Interval(0.0, 1.0).grid(5)
-        assert pts[0] == 0.0 and pts[-1] == 1.0 and len(pts) == 5
-        assert pts == sorted(pts)
 
 
 class TestThresholdFunction:
@@ -206,26 +203,45 @@ class TestOrderCheck:
         ratio_jobs = [max(j, 0.01) for j in jobs]
         assert check_order_preserving(ratio, ratio_jobs, rates).preserving
 
+    @pytest.mark.parametrize(
+        "f",
+        [ThresholdFunction.product(Interval(0.0, 1.0)), ThresholdFunction.ratio(Interval(0.1, 1.0))],
+        ids=["product", "ratio"],
+    )
+    @pytest.mark.parametrize("probe", [1.5, -0.5, math.nan])
+    def test_probe_outside_domain_raises(self, f, probe):
+        with pytest.raises(DomainError):
+            check_order_preserving(f, [0.5, probe], [0.2, 0.9])
+
     @settings(max_examples=120, deadline=None)
     @given(
         values=st.lists(
-            st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5]), min_size=6, max_size=6
+            st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5]), min_size=9, max_size=9
         )
     )
     def test_tabulated_verdict_matches_pairwise_scan(self, values):
-        jobs, rates = (1.0, 2.0, 3.0), (0.25, 0.5)
+        jobs, rates = (1.0, 2.0, 3.0), (0.25, 0.5, 0.75)
         table = {
             (x, p): values[i * len(rates) + j]
             for i, x in enumerate(jobs)
             for j, p in enumerate(rates)
         }
         f = ThresholdFunction.tabulated(table)
-        check = check_order_preserving(f, jobs, rates)
-        diffs = [table[(x, 0.25)] - table[(x, 0.5)] for x in jobs]
-        has_reversal = any(
-            da * db < 0 for da in diffs for db in diffs
-        )
-        assert check.preserving == (not has_reversal)
+        assert check_order_preserving(f, jobs, rates) == reference_order_scan(table, jobs, rates)
+
+
+def reference_order_scan(table, jobs, rates):
+    """Order check by a plain scan: rate pairs in index order, then the
+    first probe ranking each pair either way."""
+    for u in range(len(rates)):
+        for v in range(u + 1, len(rates)):
+            diffs = [table[(x, rates[u])] - table[(x, rates[v])] for x in jobs]
+            below = [i for i, d in enumerate(diffs) if d < 0.0]
+            above = [i for i, d in enumerate(diffs) if d > 0.0]
+            if below and above:
+                a, b = sorted((below[0], above[0]))
+                return OrderCheck(False, OrderWitness(jobs[a], jobs[b], rates[u], rates[v]))
+    return OrderCheck(True)
 
 
 class TestWorkers:
