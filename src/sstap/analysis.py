@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 CENTER_MERGE_TOL = 1e-9
+# Most rounds in which MixtureSpec.draw_with redraws the samples outside the domain.
+REDRAW_ROUNDS = 10_000
 
 
 class Side(Enum):
@@ -175,22 +177,19 @@ def verify_load_bounds(instance: Instance, job_values: Sequence[float]) -> LoadB
     return LoadBoundsResult(verdict, reward, l_jobs, report)
 
 
-def _mixture_mass(
-    centers: Sequence[float],
-    weights: Sequence[float],
-    sigma: float,
-    omega: Interval,
-) -> float:
-    """Mass the weighted Gaussian sum leaves inside omega, in closed form.
+def _component_masses(centers: Sequence[float], sigma: float, omega: Interval) -> list[float]:
+    """Mass each unit Gaussian of the mixture leaves inside omega, in closed form.
 
     Each center lies strictly inside omega, so the two erf arguments have
     opposite signs and their difference cannot cancel.
     """
     scale = sigma * math.sqrt(2.0)
-    return math.fsum(
-        0.5 * w * (math.erf((omega.hi - c) / scale) - math.erf((omega.lo - c) / scale))
-        for c, w in zip(centers, weights)
-    )
+    return [0.5 * (math.erf((omega.hi - c) / scale) - math.erf((omega.lo - c) / scale)) for c in centers]
+
+
+def _mixture_mass(centers: Sequence[float], weights: Sequence[float], sigma: float, omega: Interval) -> float:
+    """Mass the weighted Gaussian sum leaves inside omega."""
+    return math.fsum(w * m for w, m in zip(weights, _component_masses(centers, sigma, omega)))
 
 
 @dataclass(frozen=True)
@@ -239,22 +238,23 @@ class MixtureSpec:
         """Draw truncated samples using a caller-owned generator.
 
         Picks a center by weight, adds a Gaussian deviate, and redraws the
-        deviate until it lands inside the domain. A mixture that leaves too
-        little mass inside the domain for that to finish raises BadSpec.
+        deviates outside the domain for up to REDRAW_ROUNDS rounds. BadSpec is
+        raised when the domain holds too little mass for that to finish, and
+        before drawing when 10 or more draws are expected to miss every round.
         """
+        masses = _component_masses(self.centers, self.sigma, self.omega)
+        stuck = size * math.fsum(w * (1.0 - m) ** REDRAW_ROUNDS for w, m in zip(self.weights, masses))
+        if stuck >= 10.0:
+            raise BadSpec(f"rejection sampling would leave about {stuck:.3g} of {size} draws outside the domain")
         centers = np.asarray(self.centers)
         idx = rng.choice(len(centers), size=size, p=np.asarray(self.weights))
         out = centers[idx] + self.sigma * rng.standard_normal(size)
-        inside = (out >= self.omega.lo) & (out <= self.omega.hi)
-        guard = 0
-        while not inside.all():
-            guard += 1
-            if guard > 10000:
-                raise BadSpec("rejection sampling failed to land inside the domain")
-            redraw = ~inside
-            out[redraw] = centers[idx[redraw]] + self.sigma * rng.standard_normal(int(redraw.sum()))
-            inside = (out >= self.omega.lo) & (out <= self.omega.hi)
-        return out
+        for _ in range(REDRAW_ROUNDS + 1):
+            outside = ~((out >= self.omega.lo) & (out <= self.omega.hi))
+            if not outside.any():
+                return out
+            out[outside] = centers[idx[outside]] + self.sigma * rng.standard_normal(int(outside.sum()))
+        raise BadSpec("rejection sampling failed to land inside the domain")
 
 
 def build_reward_maximizing_mixture(

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import analysis, dsstap, multilevel
 from .core import (
+    FunctionKind,
     Instance,
     Interval,
     ThresholdFunction,
@@ -56,6 +57,8 @@ MAX_GENERATED = 100_000
 # cells x samples per run (about 10 times a 30 x 30 matrix at the default).
 MAX_MC_SAMPLES = 1_000_000
 DSSTAP_MAX_WORK = 1_000_000_000
+# Most jobs x workers of tabulated pools per run (about 4 s): a tabulated choice scans every free worker.
+TABULATED_MAX_WORK = 10_000_000
 
 
 class RunConfig:
@@ -274,6 +277,13 @@ def _build_instance(raw: dict[str, Any], seed: int = 0, field: str = "") -> Inst
         raise ConfigError(f"{field}{exc}") from exc
 
 
+def _check_tabulated_work(pools: Sequence[tuple[ThresholdFunction, int]], n_jobs: int) -> None:
+    """Refuse a run whose (function, worker count) pools, each offered every job, scan too much."""
+    work = sum(n_jobs * n_workers for f, n_workers in pools if f.kind is FunctionKind.TABULATED)
+    if work > TABULATED_MAX_WORK:
+        raise ConfigError(f"tabulated jobs x workers must be at most {TABULATED_MAX_WORK}")
+
+
 def _jsonify(value: Any) -> Any:
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
@@ -320,6 +330,7 @@ def _run_simulate(config: RunConfig) -> tuple[dict[str, Any], dict[str, str]]:
     mode = config.raw.get("cycle_delay_mode", "deterministic")
     if mode not in CYCLE_DELAY_MODES:
         raise ConfigError("cycle_delay_mode must be deterministic or exponential")
+    _check_tabulated_work([(instance.f, len(instance.workers))], len(jobs))
     records, reward = run_stream(
         instance,
         jobs,
@@ -360,6 +371,7 @@ def _run_analyze_load(config: RunConfig) -> tuple[dict[str, Any], dict[str, str]
     jobs = _parse_jobs(_require(config.raw, "jobs"), config.seed)
     if len(jobs) != len(instance.workers):
         raise ConfigError("analyze-load needs exactly one job per worker")
+    _check_tabulated_work([(instance.f, len(instance.workers))], len(jobs))
     result = analysis.verify_load_bounds(instance, [value for value, _t in jobs])
     report: dict[str, Any] = {
         "verdict": result.verdict.value,
@@ -391,7 +403,11 @@ def _run_multilevel(config: RunConfig) -> tuple[dict[str, Any], dict[str, str]]:
     if len(set(ids)) != len(ids):
         raise ConfigError("worker ids must be unique across levels")
     jobs = _parse_jobs(_require(raw, "jobs"), config.seed)
-    if _flag(raw, "compare_flat"):
+    compare = _flag(raw, "compare_flat")
+    # the flat pool runs every worker under the first level's function
+    flat = [(levels[0].f, len(ids))] if compare else []
+    _check_tabulated_work([(level.f, len(level.workers)) for level in levels] + flat, len(jobs))
+    if compare:
         comparison = multilevel.compare_flat(levels, jobs, force_non_order_preserving=config.force)
         result = comparison.leveled
         extra = {"flat": comparison.flat, "gap": comparison.gap}

@@ -292,6 +292,8 @@ class Instance:
     def __post_init__(self) -> None:
         if not math.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
+        if isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, (int, np.integer)) or self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be a nonnegative integer, got {self.rng_seed!r}")
         object.__setattr__(self, "workers", tuple(self.workers))
         ids = [w.id for w in self.workers]
         if len(ids) != len(set(ids)):

@@ -1,10 +1,10 @@
 """Offline optima for one-shot assignment instances.
 
-Two independent routes compute the best achievable reward when the whole
-job sequence is known in advance: an exhaustive enumeration over every
-partial assignment, guarded to tiny instances, and a maximum-cardinality
-bipartite matching on the feasibility graph. The exhaustive route exists
-to be obviously correct; the matching route scales.
+Both oracles read one feasibility graph, the boolean matrix of job/worker
+pairs clearing the threshold, and return the best reward when the whole job
+sequence is known in advance. An exhaustive enumeration of every partial
+assignment, guarded to tiny instances, exists to be obviously correct; a
+maximum-cardinality bipartite matching scales.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ThresholdFunction, eval_f, eval_f_array
+from .core import ThresholdFunction, eval_f_array
 from .errors import TooLarge
 
 __all__ = [
@@ -27,22 +27,22 @@ __all__ = [
 EXHAUSTIVE_LIMIT = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeasibilityGraph:
     """Bipartite graph of job/worker pairs clearing the threshold.
 
-    Jobs and workers are indexed from zero; an edge (i, j) means job i may
-    be served by worker j.
+    ``mask[i, j]`` means job i may be served by worker j. The graph keeps a
+    read-only boolean copy of the mask it is given.
     """
 
-    n_jobs: int
-    n_workers: int
-    edges: frozenset[tuple[int, int]]
+    mask: np.ndarray
 
     def __post_init__(self) -> None:
-        for i, j in self.edges:
-            if not (0 <= i < self.n_jobs and 0 <= j < self.n_workers):
-                raise ValueError(f"edge ({i}, {j}) out of range")
+        mask = np.array(self.mask, dtype=bool)
+        if mask.ndim != 2:
+            raise ValueError(f"feasibility mask must be 2-D, got {mask.ndim}-D")
+        mask.flags.writeable = False
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def build(
@@ -52,44 +52,27 @@ class FeasibilityGraph:
         f: ThresholdFunction,
         alpha: float,
     ) -> "FeasibilityGraph":
-        xs = np.asarray(job_values, dtype=float)[:, None]
-        values = eval_f_array(f, xs, np.asarray(rates, dtype=float)[None, :])
-        pairs = np.argwhere(values >= alpha)
-        edges = frozenset((int(i), int(j)) for i, j in pairs)
-        return cls(len(job_values), len(rates), edges)
+        xs = np.asarray(job_values, dtype=float)
+        ps = np.asarray(rates, dtype=float)
+        return cls(eval_f_array(f, xs[:, None], ps[None, :]) >= alpha)
 
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n_jobs)]
-        for i, j in self.edges:
-            adj[i].append(j)
-        for row in adj:
-            row.sort()
-        return adj
+    @property
+    def edges(self) -> np.ndarray:
+        """The (job, worker) pair of every edge, in row-major order."""
+        return np.argwhere(self.mask)
 
 
-def offline_optimum_exhaustive(
-    job_values: Sequence[float],
-    rates: Sequence[float],
-    f: ThresholdFunction,
-    alpha: float,
-) -> int:
+def offline_optimum_exhaustive(graph: FeasibilityGraph) -> int:
     """Best one-shot reward by enumerating every partial assignment.
 
     Walks the full decision tree (assign job i to any unused feasible
     worker, or reject it), memoizing on the job index and the used-worker
     set. Guarded to at most EXHAUSTIVE_LIMIT jobs and workers.
     """
-    n = len(job_values)
-    m = len(rates)
+    n, m = graph.mask.shape
     if n > EXHAUSTIVE_LIMIT or m > EXHAUSTIVE_LIMIT:
         raise TooLarge(f"exhaustive oracle is limited to {EXHAUSTIVE_LIMIT} jobs and workers")
-    feasible_masks = []
-    for x in job_values:
-        mask = 0
-        for j, p in enumerate(rates):
-            if eval_f(f, x, p) >= alpha:
-                mask |= 1 << j
-        feasible_masks.append(mask)
+    feasible_masks = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in graph.mask]
 
     memo: dict[tuple[int, int], int] = {}
 
@@ -120,8 +103,9 @@ def offline_optimum_matching(graph: FeasibilityGraph) -> int:
     a path as long as the graph is wide cannot exhaust the interpreter's
     recursion limit.
     """
-    adjacency = graph.adjacency()
-    matched_job: list[int] = [-1] * graph.n_workers
+    adjacency = [np.flatnonzero(row).tolist() for row in graph.mask]
+    n_workers = graph.mask.shape[1]
+    matched_job: list[int] = [-1] * n_workers
 
     def try_augment(root: int, visited: list[bool]) -> bool:
         # jobs[d] is the job at depth d and edges[d] the rest of its edge
@@ -147,8 +131,4 @@ def offline_optimum_matching(graph: FeasibilityGraph) -> int:
             edges.append(iter(adjacency[matched_job[j]]))
         return False
 
-    size = 0
-    for i in range(graph.n_jobs):
-        if try_augment(i, [False] * graph.n_workers):
-            size += 1
-    return size
+    return sum(try_augment(i, [False] * n_workers) for i in range(len(adjacency)))

@@ -102,7 +102,7 @@ def test_02_tabulated_greedy_versus_offline(emit, tabulated_instance, tabulated_
         force_non_order_preserving=True,
     )
     best = offline_optimum_exhaustive(
-        TABULATED_JOBS, TABULATED_RATES, tabulated_f, TABULATED_ALPHA
+        FeasibilityGraph.build(TABULATED_JOBS, TABULATED_RATES, tabulated_f, TABULATED_ALPHA)
     )
     ok = (greedy, best) == (2, 3)
     finish(
@@ -134,7 +134,7 @@ def test_03_greedy_equals_offline_on_order_preserving(emit):
         rates = rng.uniform(0.01, 1.0, m).tolist()
         inst = Instance(alpha=alpha, f=f, workers=make_workers(rates))
         _, greedy = run_stream(inst, [(x, 0.0) for x in jobs])
-        if greedy == offline_optimum_exhaustive(jobs, rates, f, alpha):
+        if greedy == offline_optimum_exhaustive(FeasibilityGraph.build(jobs, rates, f, alpha)):
             small_hits += 1
     large_hits = 0
     trials_large = 100

@@ -321,6 +321,40 @@ class TestMixtureSampling:
         with pytest.raises(BadSpec, match="rejection sampling"):
             spec.draw_with(np.random.default_rng(0), 1000)
 
+    @pytest.mark.parametrize("size", [1000, 20_000])
+    def test_mass_too_thin_to_sample_fails_before_drawing(self, size):
+        spec = MixtureSpec(centers=(0.5,), weights=(1.0,), sigma=1000.0, omega=Interval(0.0, 1.0))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with time_limit(0.05), pytest.raises(BadSpec, match="rejection sampling"):
+            spec.draw_with(rng, size)
+        assert rng.bit_generator.state == state
+
+    def test_redraw_rounds_are_bounded(self):
+        # both draws pass the estimate: about 1% of each deviate lands inside
+        # for the first, which takes hundreds of rounds, and 0.004% for the
+        # second, which outlasts all of them
+        wide = MixtureSpec(centers=(0.5,), weights=(1.0,), sigma=40.0, omega=Interval(0.0, 1.0))
+        draws = wide.draw_with(np.random.default_rng(1), 20)
+        assert draws.min() >= 0.0 and draws.max() <= 1.0
+        wider = MixtureSpec(centers=(0.5,), weights=(1.0,), sigma=10_000.0, omega=Interval(0.0, 1.0))
+        with pytest.raises(BadSpec, match="failed to land"):
+            wider.draw_with(np.random.default_rng(1), 5)
+
+    def test_ordinary_mixture_draws_are_unchanged(self):
+        # golden values; four of the six first draws leave the domain, so
+        # they also pin the redraw rounds
+        spec = MixtureSpec(centers=(0.1, 0.8), weights=(0.25, 0.75), sigma=0.3, omega=Interval(0.0, 1.0))
+        draws = spec.draw_with(np.random.default_rng(2024), 6)
+        assert [repr(float(v)) for v in draws] == [
+            "0.4676848894618198",
+            "0.2527560396537064",
+            "0.38707314800762943",
+            "0.8146737209208603",
+            "0.9919278661794387",
+            "0.34345603509446726",
+        ]
+
     def test_per_center_frequencies_within_binomial_bands(self, lower_spec):
         n = 100_000
         draws = lower_spec.draw_with(np.random.default_rng(123), n)

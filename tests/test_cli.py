@@ -540,6 +540,35 @@ class TestFigure1Mode:
         assert lines[1].startswith("1.0,")
 
 
+def tabulated_run(workers, n_jobs, mode="simulate", full_table=True):
+    """Point-mass jobs at 0.5 under a tabulated f, offered to linear workers.
+
+    With the full table every job scans every free worker; without it the
+    order check at the start of the run meets a missing pair and exits 3.
+    """
+    rates = [i / workers for i in range(1, workers + 1)]
+    table = [[0.5, rate, 1.0] for rate in rates] if full_table else [[0.5, 1.0, 1.0]]
+    return {
+        "mode": mode,
+        "alpha": 0.5,
+        "function": {"kind": "tabulated", "table": table},
+        "workers": {"count": workers},
+        "jobs": {"distribution": {"kind": "point-mass", "c": 0.5}, "count": n_jobs},
+    }
+
+
+def tabulated_levels(level_sizes, n_jobs, compare_flat, full_table=True):
+    """A multilevel run of ``tabulated_run`` levels with the given worker counts and distinct ids."""
+    levels, first_id = [], 1
+    for size in level_sizes:
+        run = tabulated_run(size, n_jobs, full_table=full_table)
+        workers = [{"id": first_id + k, "rate": (k + 1) / size} for k in range(size)]
+        levels.append({"alpha": run["alpha"], "function": run["function"], "workers": workers})
+        first_id += size
+    jobs = tabulated_run(1, n_jobs)["jobs"]
+    return {"mode": "multilevel", "levels": levels, "jobs": jobs, "compare_flat": compare_flat}
+
+
 def _with_level(position, **changes):
     levels = [dict(level) for level in TestMultilevelMode.PAYLOAD["levels"]]
     levels[position].update(changes)
@@ -650,6 +679,13 @@ class TestExitCodeContract:
             {**MIXTURE_CASE1, "case": "II", "samples": cli.MAX_MC_SAMPLES,
              "job_specs": [{"kind": "point-mass", "c": 0.5}] * 40,
              "rate_specs": [{"kind": "point-mass", "c": 0.5}] * 40},
+            # 3163^2 = 10_004_569 jobs x workers, just over the tabulated cap
+            tabulated_run(3163, 3163),
+            tabulated_run(3163, 3163, mode="analyze-load"),
+            # 2 levels x 1600 workers x 3126 jobs = 10_003_200
+            tabulated_levels([1600, 1600], 3126, compare_flat=False),
+            # 2 x 1000 x 2501 leveled plus 2000 x 2501 flat = 10_004_000
+            tabulated_levels([1000, 1000], 2501, compare_flat=True),
         ],
         ids=[
             "mixture-sigma-nan",
@@ -662,6 +698,10 @@ class TestExitCodeContract:
             "figure1-trials-huge",
             "dsstap-samples-huge",
             "dsstap-cells-times-samples",
+            "tabulated-simulate",
+            "tabulated-analyze-load",
+            "tabulated-multilevel",
+            "tabulated-compare-flat",
         ],
     )
     def test_unbounded_work_is_refused_within_a_second(self, tmp_path, capsys, payload):
@@ -669,6 +709,21 @@ class TestExitCodeContract:
             assert run_cli(tmp_path, payload) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # 3162^2 = 9_998_244
+            tabulated_run(3162, 3162, full_table=False),
+            # the compare-flat case above without its flat share: 5_002_000
+            tabulated_levels([1000, 1000], 2501, compare_flat=False, full_table=False),
+        ],
+        ids=["simulate", "multilevel-without-flat-pool"],
+    )
+    def test_tabulated_work_under_the_cap_is_run(self, tmp_path, capsys, payload):
+        # the run starts and then meets the table's missing pairs
+        assert run_cli(tmp_path, payload) == 3
+        assert capsys.readouterr().err.startswith("error: no table entry")
 
 
 def readme_examples():
@@ -693,20 +748,35 @@ def readme_examples():
     return configs
 
 
-def leaf_paths(value, path=()):
-    """Key and index paths to every scalar inside a JSON value."""
+def node_paths(value, path=()):
+    """Key and index paths to every value inside a JSON value: the empty path, containers and leaves."""
+    yield path
     if isinstance(value, dict):
         for key, item in value.items():
-            yield from leaf_paths(item, path + (key,))
+            yield from node_paths(item, path + (key,))
     elif isinstance(value, list):
         for i, item in enumerate(value):
-            yield from leaf_paths(item, path + (i,))
-    else:
-        yield path
+            yield from node_paths(item, path + (i,))
+
+
+def resolve(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+def run_in_process(config, *extra):
+    """Exit code of the CLI on ``config``, run in this process under a 2 s limit."""
+    with tempfile.TemporaryDirectory() as work:
+        config_path = Path(work) / "config.json"
+        config_path.write_text(json.dumps(config))
+        with time_limit(2.0):
+            return cli.main(["--config", str(config_path), "--out", str(Path(work) / "out"), *extra])
 
 
 README_EXAMPLES = readme_examples()
 HOSTILE_LEAVES = [0, -1, 1e-300, 1e308, -1e308, math.nan, math.inf, -math.inf, HUGE, "text", True, None, [], {}]
+JUNK_SUBTREES = [{}, [], {"a": [1, {"b": None}]}, [[1, 2], [3]]]
 
 
 class TestExitCodeFuzz:
@@ -716,18 +786,32 @@ class TestExitCodeFuzz:
         """One or two leaves of a README example replaced by a hostile value:
         the CLI exits 0, 2 or 3 in-process, never raises, and stays quick."""
         config = copy.deepcopy(README_EXAMPLES[data.draw(st.sampled_from(sorted(README_EXAMPLES)))])
-        paths = list(leaf_paths(config))
+        paths = [path for path in node_paths(config) if not isinstance(resolve(config, path), (dict, list))]
         for path in data.draw(st.lists(st.sampled_from(paths), min_size=1, max_size=2, unique=True)):
-            parent = config
-            for key in path[:-1]:
-                parent = parent[key]
-            parent[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(HOSTILE_LEAVES)))
-        with tempfile.TemporaryDirectory() as work:
-            config_path = Path(work) / "config.json"
-            config_path.write_text(json.dumps(config))
-            with time_limit(2.0):
-                code = cli.main(["--config", str(config_path), "--out", str(Path(work) / "out")])
-        assert code in (0, 2, 3)
+            resolve(config, path[:-1])[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(HOSTILE_LEAVES)))
+        assert run_in_process(config) in (0, 2, 3)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_deleted_keys_and_junk_subtrees_exit_0_2_or_3(self, data):
+        """One or two keys of a README example deleted, or whole subtrees
+        replaced by nested junk: the CLI exits 0, 2 or 3 in-process.
+
+        ``--trials 2`` keeps a deleted figure1 trial count from restoring the
+        default 100-trial sweep, a valid run of about 2 s.
+        """
+        config = copy.deepcopy(README_EXAMPLES[data.draw(st.sampled_from(sorted(README_EXAMPLES)))])
+        for _ in range(data.draw(st.integers(1, 2))):
+            paths = list(node_paths(config))[1:]
+            if not paths:
+                break
+            path = data.draw(st.sampled_from(paths))
+            parent = resolve(config, path[:-1])
+            if isinstance(parent, dict) and data.draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(JUNK_SUBTREES)))
+        assert run_in_process(config, "--trials", "2") in (0, 2, 3)
 
 
 class TestDeterminism:

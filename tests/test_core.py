@@ -291,6 +291,15 @@ class TestWorkers:
         inst = Instance(alpha=0.1, f=product_f, workers=make_workers([0.5], cycle_rate=3.0))
         assert inst.workers[0].cycle_rate == 3.0
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True], ids=["negative", "fractional", "bool"])
+    def test_instance_requires_a_nonnegative_integer_seed(self, product_f, seed):
+        with pytest.raises(ValueError, match="rng_seed"):
+            Instance(alpha=0.1, f=product_f, workers=make_workers([0.5]), rng_seed=seed)
+
+    def test_instance_accepts_a_numpy_integer_seed(self, product_f):
+        inst = Instance(alpha=0.1, f=product_f, workers=make_workers([0.5]), rng_seed=np.int64(7))
+        assert inst.rng_seed == 7
+
 
 class TestRecords:
     def test_assigned_and_rejected_records(self):

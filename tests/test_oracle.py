@@ -22,6 +22,7 @@ from sstap import (
     offline_optimum_matching,
     run_stream,
 )
+from sstap.oracle import EXHAUSTIVE_LIMIT
 from tests.conftest import (
     PRODUCT_ALPHA,
     PRODUCT_JOBS,
@@ -35,35 +36,49 @@ from tests.conftest import (
 )
 
 
+def graph_of(rows):
+    return FeasibilityGraph(np.array(rows, dtype=bool))
+
+
 class TestFeasibilityGraph:
     def test_product_edges(self):
         f = ThresholdFunction.product(Interval(0.0, 1.0))
         graph = FeasibilityGraph.build([0.2, 0.9], [0.5, 1.0], f, alpha=0.4)
-        assert graph.n_jobs == 2 and graph.n_workers == 2
-        assert graph.edges == frozenset({(1, 0), (1, 1)})
+        assert graph.mask.tolist() == [[False, False], [True, True]]
+        assert graph.edges.tolist() == [[1, 0], [1, 1]]
 
     def test_ratio_edges(self):
         f = ThresholdFunction.ratio(Interval(0.1, 1.0))
         graph = FeasibilityGraph.build([0.1, 1.0], [0.2, 0.9], f, alpha=1.0)
         # p/x >= 1 iff p >= x
-        assert graph.edges == frozenset({(0, 0), (0, 1)})
+        assert graph.mask.tolist() == [[True, True], [False, False]]
 
     def test_tabulated_edges(self, tabulated_f):
         graph = FeasibilityGraph.build(
             TABULATED_JOBS, TABULATED_RATES, tabulated_f, alpha=TABULATED_ALPHA
         )
-        assert (1, 1) in graph.edges  # f(2.0, 0.5) = 0.1 >= 0.1, boundary included
-        assert (1, 0) not in graph.edges
-        assert (1, 2) not in graph.edges
+        # f(2.0, 0.5) = 0.1 >= 0.1, boundary included; the rest of job 2.0 falls short
+        assert graph.mask[1].tolist() == [False, True, False]
 
-    def test_adjacency_lists_are_sorted(self):
+    def test_edges_are_pairs_in_row_major_order(self):
         f = ThresholdFunction.product(Interval(0.0, 1.0))
-        graph = FeasibilityGraph.build([0.9, 0.9], [0.9, 0.5, 0.7], f, alpha=0.4)
-        assert graph.adjacency() == [[0, 1, 2], [0, 1, 2]]
+        graph = FeasibilityGraph.build([0.9, 0.5, 0.9], [0.9, 0.5, 0.7], f, alpha=0.4)
+        assert graph.edges.tolist() == [[0, 0], [0, 1], [0, 2], [1, 0], [2, 0], [2, 1], [2, 2]]
+        assert len(graph.edges) == int(graph.mask.sum())
 
-    def test_out_of_range_edges_rejected(self):
+    @pytest.mark.parametrize("mask", [[True, False], [[[True]]], True], ids=["1-D", "3-D", "scalar"])
+    def test_mask_that_is_not_2d_rejected(self, mask):
+        with pytest.raises(ValueError, match="2-D"):
+            FeasibilityGraph(np.array(mask))
+
+    def test_mask_is_a_read_only_boolean_copy(self):
+        source = np.array([[1, 0], [0, 2]])
+        graph = FeasibilityGraph(source)
+        source[0, 1] = 1
+        assert graph.mask.dtype == bool
+        assert graph.mask.tolist() == [[True, False], [False, True]]
         with pytest.raises(ValueError):
-            FeasibilityGraph(n_jobs=1, n_workers=1, edges=frozenset({(1, 0)}))
+            graph.mask[0, 1] = True
 
     def test_domain_violations_surface(self):
         f = ThresholdFunction.product(Interval(0.0, 1.0))
@@ -72,8 +87,10 @@ class TestFeasibilityGraph:
 
     def test_empty_sides_give_an_empty_graph(self, product_f, tabulated_f):
         for f in (product_f, tabulated_f):
-            assert FeasibilityGraph.build([], [0.5], f, 0.1).edges == frozenset()
-            assert FeasibilityGraph.build([1.0], [], f, 0.1).edges == frozenset()
+            assert FeasibilityGraph.build([], [0.5], f, 0.1).mask.shape == (0, 1)
+            assert FeasibilityGraph.build([1.0], [], f, 0.1).mask.shape == (1, 0)
+            assert len(FeasibilityGraph.build([], [0.5], f, 0.1).edges) == 0
+            assert len(FeasibilityGraph.build([1.0], [], f, 0.1).edges) == 0
 
     @settings(max_examples=300, deadline=None)
     @given(case=functions_jobs_rates(), alpha=st.floats(-0.5, 2.0))
@@ -86,25 +103,20 @@ class TestFeasibilityGraph:
                 FeasibilityGraph.build(xs, ps, f, alpha)
             return
         graph = FeasibilityGraph.build(xs, ps, f, alpha)
-        assert (graph.n_jobs, graph.n_workers) == (len(xs), len(ps))
-        assert graph.edges == {
-            (i, j) for i, row in enumerate(values) for j, value in enumerate(row) if value >= alpha
-        }
+        assert graph.mask.shape == (len(xs), len(ps))
+        assert graph.mask.tolist() == [[value >= alpha for value in row] for row in values]
+
+
+def exhaustive(jobs, rates, f, alpha):
+    return offline_optimum_exhaustive(FeasibilityGraph.build(jobs, rates, f, alpha))
 
 
 class TestExhaustive:
     def test_golden_product_instance(self, product_f):
-        assert (
-            offline_optimum_exhaustive(
-                PRODUCT_JOBS, PRODUCT_RATES, product_f, PRODUCT_ALPHA
-            )
-            == 3
-        )
+        assert exhaustive(PRODUCT_JOBS, PRODUCT_RATES, product_f, PRODUCT_ALPHA) == 3
 
     def test_beats_greedy_on_counterexample(self, tabulated_f, tabulated_instance):
-        best = offline_optimum_exhaustive(
-            TABULATED_JOBS, TABULATED_RATES, tabulated_f, TABULATED_ALPHA
-        )
+        best = exhaustive(TABULATED_JOBS, TABULATED_RATES, tabulated_f, TABULATED_ALPHA)
         _, greedy = run_stream(
             tabulated_instance,
             [(x, 0.0) for x in TABULATED_JOBS],
@@ -113,15 +125,17 @@ class TestExhaustive:
         assert (greedy, best) == (2, 3)
 
     def test_empty_problem(self, product_f):
-        assert offline_optimum_exhaustive([], [0.5], product_f, 0.1) == 0
-        assert offline_optimum_exhaustive([0.5], [], product_f, 0.1) == 0
+        assert exhaustive([], [0.5], product_f, 0.1) == 0
+        assert exhaustive([0.5], [], product_f, 0.1) == 0
+        # a job outside the domain is refused even with no worker to pair it with
+        with pytest.raises(DomainError):
+            exhaustive([1.5], [], product_f, 0.1)
 
-    def test_guard_against_oversized_instances(self, product_f):
-        jobs = [0.5] * 9
+    def test_guard_against_oversized_instances(self):
         with pytest.raises(TooLarge):
-            offline_optimum_exhaustive(jobs, [0.5] * 3, product_f, 0.1)
+            offline_optimum_exhaustive(graph_of(np.ones((9, 3))))
         with pytest.raises(TooLarge):
-            offline_optimum_exhaustive([0.5] * 3, [0.5] * 9, product_f, 0.1)
+            offline_optimum_exhaustive(graph_of(np.ones((3, 9))))
 
     def test_matches_permutation_enumeration(self, product_f):
         rng = np.random.default_rng(3)
@@ -131,7 +145,7 @@ class TestExhaustive:
             jobs = rng.uniform(0.0, 1.0, n).tolist()
             rates = rng.uniform(0.01, 1.0, m).tolist()
             alpha = float(rng.uniform(0.0, 0.8))
-            got = offline_optimum_exhaustive(jobs, rates, product_f, alpha)
+            got = exhaustive(jobs, rates, product_f, alpha)
             best = 0
             k = min(n, m)
             for jobs_subset in itertools.permutations(range(n), k):
@@ -155,9 +169,16 @@ class TestMatching:
             rates = rng.uniform(0.01, 1.0, m).tolist()
             alpha = float(rng.uniform(0.0, 0.8))
             graph = FeasibilityGraph.build(jobs, rates, product_f, alpha)
-            assert offline_optimum_matching(graph) == offline_optimum_exhaustive(
-                jobs, rates, product_f, alpha
-            )
+            assert offline_optimum_matching(graph) == offline_optimum_exhaustive(graph)
+
+    def test_agrees_with_exhaustive_on_random_masks(self):
+        # product and ratio graphs are nested; arbitrary masks need real augmenting paths
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            n = int(rng.integers(0, EXHAUSTIVE_LIMIT + 1))
+            m = int(rng.integers(0, EXHAUSTIVE_LIMIT + 1))
+            graph = graph_of(rng.random((n, m)) < rng.uniform(0.1, 0.6))
+            assert offline_optimum_matching(graph) == offline_optimum_exhaustive(graph)
 
     def test_counterexample_graph(self, tabulated_f):
         graph = FeasibilityGraph.build(
@@ -177,14 +198,31 @@ class TestMatching:
         _, greedy = run_stream(inst, [(x, 0.0) for x in jobs])
         assert matched == greedy
 
+    @pytest.mark.parametrize("seed", [5, 6])
+    @pytest.mark.parametrize(
+        "f,alpha",
+        [
+            (ThresholdFunction.product(Interval(0.0, 1.0)), 0.25),
+            (ThresholdFunction.ratio(Interval(0.01, 1.0)), 1.0),
+        ],
+        ids=["product", "ratio"],
+    )
+    def test_greedy_stream_is_optimal_at_a_thousand(self, f, alpha, seed):
+        rng = np.random.default_rng(seed)
+        n = 1000
+        jobs = rng.uniform(f.domain.lo, f.domain.hi, n).tolist()
+        rates = [i / n for i in range(1, n + 1)]
+        _, greedy = run_stream(Instance(alpha=alpha, f=f, workers=make_workers(rates)), [(x, 0.0) for x in jobs])
+        assert greedy == offline_optimum_matching(FeasibilityGraph.build(jobs, rates, f, alpha))
+
     def test_disconnected_graph(self):
-        graph = FeasibilityGraph(n_jobs=3, n_workers=2, edges=frozenset())
-        assert offline_optimum_matching(graph) == 0
+        assert offline_optimum_matching(graph_of(np.zeros((3, 2)))) == 0
 
     def test_augmenting_path_longer_than_recursion_limit(self):
         # jobs 0..n-2 take workers 0..n-2 first; the last job's only edge,
         # worker 0, then needs an augmenting path through all of them
         n = 3000
-        edges = {(i, i) for i in range(n - 1)} | {(i, i + 1) for i in range(n - 1)} | {(n - 1, 0)}
-        graph = FeasibilityGraph(n_jobs=n, n_workers=n, edges=frozenset(edges))
-        assert offline_optimum_matching(graph) == n
+        mask = np.eye(n, dtype=bool) | np.eye(n, k=1, dtype=bool)
+        mask[n - 1] = False
+        mask[n - 1, 0] = True
+        assert offline_optimum_matching(graph_of(mask)) == n

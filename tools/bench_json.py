@@ -2,8 +2,8 @@
 
 Each run file holds the stdout of one untraced
 ``python3 perfbench/run.py --workload W --seed N --seconds S --trace 0``;
-the tool reads its header line (``W seed N trace 0:``) and its final JSON
-line. Each ladder file holds the stdout of ``python3 perfbench/ladder.py``,
+the tool reads its header line (``W seed N trace 0:``), its final JSON
+line, and an optional ``wall_s SECONDS`` line with the run's wall time. Each ladder file holds the stdout of ``python3 perfbench/ladder.py``,
 whose final line is the JSON list of ladder records.
 
     python3 tools/bench_json.py --out BENCH_7.json \\
@@ -14,7 +14,8 @@ For every workload and side the output gives, per gated metric
 (``op_p50_ref``, ``setup_s``, ``peak_rss_mb``), the median and the first
 and third quartiles over the runs (``statistics.quantiles`` with the
 inclusive method), and the per-run values in seed order so that runs can
-be paired across sides by seed. Stdlib only.
+be paired across sides by seed. When every run of a workload and side
+has a wall time, ``wall_s`` summarises those the same way. Stdlib only.
 """
 
 from __future__ import annotations
@@ -28,10 +29,14 @@ from pathlib import Path
 
 GATED = ("op_p50_ref", "setup_s", "peak_rss_mb")
 HEADER = re.compile(r"^(\w+) seed (-?\d+) trace ([01]):$")
+WALL = re.compile(r"^wall_s (\S+)$")
 
 
 def read_run(path: Path) -> tuple[str, int, dict]:
-    """(workload, seed, final JSON object) of one saved run.py stdout."""
+    """(workload, seed, final JSON object) of one saved run.py stdout.
+
+    A ``wall_s`` line, if present, is added to the object as ``wall_s``.
+    """
     lines = path.read_text().splitlines()
     headers = [m for m in map(HEADER.match, lines) if m]
     if len(headers) != 1:
@@ -39,7 +44,10 @@ def read_run(path: Path) -> tuple[str, int, dict]:
     workload, seed, trace = headers[0].groups()
     if trace != "0":
         raise ValueError(f"{path}: a traced run has no gated metrics")
-    result = json.loads(lines[-1])
+    walls = [float(m.group(1)) for m in map(WALL.match, lines) if m]
+    result = json.loads([line for line in lines if not WALL.match(line)][-1])
+    if walls:
+        result["wall_s"] = walls[-1]
     return workload, int(seed), result
 
 
@@ -67,6 +75,9 @@ def collect_runs(paths: list[Path]) -> dict:
         for name in GATED:
             values = [result["metrics"][name]["value"] for _seed, result in runs]
             entry[name] = {**summarise(values), "unit": runs[0][1]["metrics"][name]["unit"], "values": values}
+        if all("wall_s" in result for _seed, result in runs):
+            walls = [result["wall_s"] for _seed, result in runs]
+            entry["wall_s"] = {**summarise(walls), "unit": "s", "values": walls}
         summary[workload] = entry
     return summary
 
